@@ -23,16 +23,12 @@ from .arithmetic import (
     mult_net,
     scalar_product_net,
     sparse_matvec_net,
-    square_net,
 )
 from .calculus import (
     affine_net,
-    concat_sparse,
     identity_net,
-    parallelize,
     parallelize_shared,
     pipeline,
-    scale_add_net,
 )
 from .network import (
     EvaluationFault,
@@ -58,14 +54,7 @@ from .problems import (
     read_coo,
     write_coo,
 )
-from .reference import (
-    chebyshev_eval,
-    clenshaw_eval,
-    divided_cheb_coeffs,
-    richardson_iterate,
-    solve_exact,
-    u_series_eval,
-)
+from .reference import solve_exact
 from .solvers import (
     ChebyshevPlan,
     SolverConfig,
@@ -74,11 +63,9 @@ from .solvers import (
     build_cg_net,
     build_richardson_net,
     cheb_plan,
-    clenshaw_step_net,
     m_cg,
     m_richardson,
     rho_alpha,
-    richardson_step_net,
 )
 
 __version__ = "0.1.0"
@@ -102,11 +89,6 @@ __all__ = [
     "build_cg_net",
     "build_richardson_net",
     "cheb_plan",
-    "chebyshev_eval",
-    "clenshaw_eval",
-    "clenshaw_step_net",
-    "concat_sparse",
-    "divided_cheb_coeffs",
     "estimate_extremal_eigs",
     "evaluate",
     "gen_laplacian",
@@ -116,23 +98,17 @@ __all__ = [
     "m_richardson",
     "make_layer",
     "mult_net",
-    "parallelize",
     "parallelize_shared",
     "pipeline",
     "random_rhs",
     "random_spd",
     "read_coo",
     "rho_alpha",
-    "richardson_iterate",
-    "richardson_step_net",
     "save_network",
     "scalar_product_net",
-    "scale_add_net",
     "solve_exact",
     "sparse_matvec_net",
-    "square_net",
     "stats",
-    "u_series_eval",
     "validate",
     "write_coo",
 ]

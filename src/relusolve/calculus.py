@@ -1,9 +1,9 @@
 """Combinator algebra for ReLU networks.
 
 identity_net, affine_net and scale_add_net are the exact primitives;
-concat_sparse composes two networks through a split/merge junction and
-parallelize stacks networks block-diagonally, depth-padding the shorter ones
-with identities at the output side.
+pipeline composes networks through split/merge junctions (f after g is
+pipeline((g, f))) and parallelize stacks networks block-diagonally,
+depth-padding the shorter ones with identities at the output side.
 
 Channel convention: identity channels come in interleaved (+, -) pairs, so a
 value x is carried as (relu(x), relu(-x)) in adjacent coordinates and
@@ -15,18 +15,29 @@ bit-exact and lets downstream constructions cancel paired terms exactly.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .network import Layer, ReluNetwork, make_layer
 
 __all__ = [
     "affine_net",
-    "concat_sparse",
     "identity_net",
     "parallelize",
     "parallelize_shared",
     "pipeline",
     "scale_add_net",
 ]
+
+
+def _recombine_layer(k: int) -> Layer:
+    """Read k values back from their interleaved (+, -) pairs."""
+    idx = np.arange(k)
+    return make_layer(
+        (k, 2 * k),
+        np.concatenate([idx, idx]),
+        np.concatenate([2 * idx, 2 * idx + 1]),
+        np.concatenate([np.ones(k), -np.ones(k)]),
+    )
 
 
 def identity_net(k: int, L: int) -> ReluNetwork:
@@ -44,26 +55,13 @@ def identity_net(k: int, L: int) -> ReluNetwork:
     )
     mid_idx = np.arange(2 * k)
     mid = make_layer((2 * k, 2 * k), mid_idx, mid_idx, np.ones(2 * k))
-    last = make_layer(
-        (k, 2 * k),
-        np.concatenate([idx, idx]),
-        np.concatenate([2 * idx, 2 * idx + 1]),
-        np.concatenate([np.ones(k), -np.ones(k)]),
-    )
-    return ReluNetwork([first] + [mid] * (L - 2) + [last])
+    return ReluNetwork([first] + [mid] * (L - 2) + [_recombine_layer(k)])
 
 
 def affine_net(weight, bias=None) -> ReluNetwork:
     """Depth-1 network computing x -> W x + b exactly."""
-    layer = Layer(weight, bias)
-    if layer.weight.nnz:
-        if not np.all(np.isfinite(layer.weight.data)):
-            raise ValueError("non-finite weight value")
-    if not np.all(np.isfinite(layer.bias)):
-        raise ValueError("non-finite bias value")
-    # normalize away any explicit zeros so stored count equals nonzero count
-    coo = layer.weight.tocoo()
-    return ReluNetwork([make_layer(layer.weight.shape, coo.row, coo.col, coo.data, layer.bias)])
+    coo = sp.csr_matrix(weight, dtype=float).tocoo()
+    return ReluNetwork([make_layer(coo.shape, coo.row, coo.col, coo.data, bias)])
 
 
 def scale_add_net(alpha: float, n: int) -> ReluNetwork:
@@ -82,14 +80,7 @@ def scale_add_net(alpha: float, n: int) -> ReluNetwork:
             cols.append(n + i)
             vals.append(sign)
     hidden = make_layer((2 * n, 2 * n), rows, cols, vals)
-    idx = np.arange(n)
-    out = make_layer(
-        (n, 2 * n),
-        np.concatenate([idx, idx]),
-        np.concatenate([2 * idx, 2 * idx + 1]),
-        np.concatenate([np.ones(n), -np.ones(n)]),
-    )
-    return ReluNetwork([hidden, out])
+    return ReluNetwork([hidden, _recombine_layer(n)])
 
 
 def _split_layer(layer: Layer) -> Layer:
@@ -137,21 +128,6 @@ def pipeline(stages) -> ReluNetwork:
         layers.append(merge_cache[id(head)])
         layers.extend(nxt.layers[1:])
     return ReluNetwork(layers)
-
-
-def concat_sparse(f: ReluNetwork, g: ReluNetwork) -> ReluNetwork:
-    """Composition f(g(x)) through a split/merge junction; depth adds."""
-    return pipeline((g, f))
-
-
-def _recombine_layer(k: int) -> Layer:
-    idx = np.arange(k)
-    return make_layer(
-        (k, 2 * k),
-        np.concatenate([idx, idx]),
-        np.concatenate([2 * idx, 2 * idx + 1]),
-        np.concatenate([np.ones(k), -np.ones(k)]),
-    )
 
 
 def _extend_depth(net: ReluNetwork, target: int) -> ReluNetwork:

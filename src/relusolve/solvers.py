@@ -2,11 +2,17 @@
 
 Two builders share one skeleton: an exact affine rescale layer, m (or m+1)
 step networks chained by sparse concatenation, and an exact affine output
-layer.  The Richardson step maps (A, r, c) to (A, Ar, r + c); the cg-type
-step runs the Clenshaw recurrence b_k = alpha_k r + 2 B b_next - b_nextnext
-against the Chebyshev coefficients of the optimal solver polynomial.  Both
-networks take the concatenation (A^v, r) of matrix values and right-hand
-side as input and approximate A^{-1} r to the configured accuracy.
+layer.  Both steps also share one body: identity channels on the matrix
+values, a matvec, and an exact carry member beside them.  The Richardson
+step is that body, mapping (A, r, c) to (A, Ar, r + c) with a scale_add
+carry; the cg-type step runs the Clenshaw recurrence
+b_k = alpha_k r + 2 B b_next - b_nextnext against the Chebyshev
+coefficients of the optimal solver polynomial, with identity carries and
+the combination C(alpha_k) fused into the body's last layer.  build_cg_net
+builds the body once, so the m steps share every layer but the fused one.
+Both networks take the concatenation (A^v, r) of matrix values and
+right-hand side as input and approximate A^{-1} r to the configured
+accuracy.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .arithmetic import SparsityPattern, sparse_matvec_net
 from .calculus import identity_net, parallelize_shared, pipeline, scale_add_net
@@ -174,6 +179,23 @@ def cheb_plan(m: int, spec: SpectralClass) -> ChebyshevPlan:
     )
 
 
+def _step_body(pattern: SparsityPattern, delta: float, z: float, scale: float, carry, carry_cols):
+    """Parallel step body (B^v, scale * B v, carry) on the state (B^v, v, ...).
+
+    B^v rides exact identity channels and scale * B v is a matvec at accuracy
+    delta for ||B||_2 <= 1, ||v||_2 <= z.  carry(d) builds the exact carry
+    member at the matvec depth d; it reads the state columns carry_cols.
+    """
+    n, eta = pattern.n, pattern.eta
+    mv = sparse_matvec_net(pattern, delta, z, scale=scale)
+    # build the identity member before the carry: with the carry first, the
+    # layers are the same but the peak RSS of saving and loading a 2-d
+    # Laplacian richardson net rose by about 3% in most runs
+    members = [identity_net(eta, mv.depth), mv, carry(mv.depth)]
+    maps = [range(eta), range(eta + n), carry_cols]
+    return parallelize_shared(members, maps, eta + len(carry_cols))
+
+
 def richardson_step_net(pattern: SparsityPattern, delta: float, z: float) -> ReluNetwork:
     """One iteration map (A^v, r, c) -> (A^v, A r, r + c) on eta + 2n channels.
 
@@ -182,22 +204,41 @@ def richardson_step_net(pattern: SparsityPattern, delta: float, z: float) -> Rel
     ||r||_2 <= z.
     """
     n, eta = pattern.n, pattern.eta
-    mv = sparse_matvec_net(pattern, delta, z, scale=1.0)
-    members = [identity_net(eta, mv.depth), mv, scale_add_net(1.0, n)]
-    maps = [range(eta), range(eta + n), range(eta, eta + 2 * n)]
-    return parallelize_shared(members, maps, eta + 2 * n)
+    return _step_body(
+        pattern, delta, z, 1.0, lambda d: scale_add_net(1.0, n), range(eta, eta + 2 * n)
+    )
 
 
-def _fuse_output_affine(C, net: ReluNetwork) -> ReluNetwork:
-    """Replace the final affine layer W, b with C W, C b.
+def _clenshaw_body(pattern: SparsityPattern, delta: float, z: float) -> ReluNetwork:
+    """Step body with output blocks (B^v, w = 2 B b_next, rhat, b_nextnext, b_next)."""
+    n, eta = pattern.n, pattern.eta
+    rhat, b_nn, b_next = (np.arange(eta + k * n, eta + (k + 1) * n) for k in (2, 1, 0))
+    carry_cols = np.concatenate([rhat, b_nn, b_next])
+    return _step_body(pattern, delta, z, 2.0, lambda d: identity_net(3 * n, d), carry_cols)
 
-    Exact whenever each row of C reads output blocks whose final-layer rows
-    occupy disjoint columns, as every product entry is then a single float
-    multiplication.
+
+def _fuse_combination(
+    body: ReluNetwork, pattern: SparsityPattern, alpha_bar: float
+) -> ReluNetwork:
+    """Replace the body's last layer W, b with C W, C b for C = C(alpha_bar).
+
+    C maps the blocks [B^v, w, rhat, b_nn, b_next] to the next state
+    (B^v, w + alpha_bar rhat - b_nn, b_next, rhat).  The fusion is exact: each
+    row of C reads blocks whose last-layer rows occupy disjoint columns, so
+    every product entry is a single float multiplication.  All other layers
+    are shared with body, not copied.
     """
-    last = net.layers[-1]
+    n, eta = pattern.n, pattern.eta
+    p, i = np.arange(eta), np.arange(n)
+    rows = np.concatenate([p, eta + i, eta + i, eta + i, eta + n + i, eta + 2 * n + i])
+    cols = np.concatenate([p, eta + i, eta + n + i, eta + 2 * n + i, eta + 3 * n + i, eta + n + i])
+    vals = np.concatenate(
+        [np.ones(eta + n), np.full(n, alpha_bar), np.full(n, -1.0), np.ones(2 * n)]
+    )
+    C = make_layer((eta + 3 * n, eta + 4 * n), rows, cols, vals).weight
+    last = body.layers[-1]
     fused = Layer(C @ last.weight, C @ last.bias)
-    return ReluNetwork(list(net.layers[:-1]) + [fused])
+    return ReluNetwork(list(body.layers[:-1]) + [fused])
 
 
 def clenshaw_step_net(
@@ -212,47 +253,7 @@ def clenshaw_step_net(
     """
     if not 0.0 <= alpha_bar <= 1.0:
         raise ValueError("normalized coefficient must lie in [0, 1]")
-    n, eta = pattern.n, pattern.eta
-    mv = sparse_matvec_net(pattern, delta, z, scale=2.0)
-    d = mv.depth
-    members = [identity_net(eta, d), mv, identity_net(n, d), identity_net(n, d), identity_net(n, d)]
-    maps = [
-        range(eta),
-        range(eta + n),
-        range(eta + 2 * n, eta + 3 * n),  # rhat copy
-        range(eta + n, eta + 2 * n),  # b_nextnext copy
-        range(eta, eta + n),  # b_next copy
-    ]
-    par = parallelize_shared(members, maps, eta + 3 * n)
-    # combine blocks [B^v, w=2Bb, rhat, b_nn, b_next] into the next state
-    rows, cols, vals = [], [], []
-    for p in range(eta):
-        rows.append(p)
-        cols.append(p)
-        vals.append(1.0)
-    for i in range(n):
-        r = eta + i
-        rows.extend([r, r, r])
-        cols.extend([eta + i, eta + n + i, eta + 2 * n + i])
-        vals.extend([1.0, alpha_bar, -1.0])
-        rows.append(eta + n + i)
-        cols.append(eta + 3 * n + i)
-        vals.append(1.0)
-        rows.append(eta + 2 * n + i)
-        cols.append(eta + n + i)
-        vals.append(1.0)
-    keep = [v != 0.0 for v in vals]
-    C = sp.csr_matrix(
-        (
-            [v for v, k in zip(vals, keep) if k],
-            (
-                [r for r, k in zip(rows, keep) if k],
-                [c for c, k in zip(cols, keep) if k],
-            ),
-        ),
-        shape=(eta + 3 * n, eta + 4 * n),
-    )
-    return _fuse_output_affine(C, par)
+    return _fuse_combination(_clenshaw_body(pattern, delta, z), pattern, alpha_bar)
 
 
 def _degenerate_affine_solver(pattern: SparsityPattern, spec: SpectralClass) -> ReluNetwork:
@@ -341,9 +342,9 @@ def build_cg_net(
     plan = cheb_plan(m, spec)
     delta = config.epsilon / (2.0 * (m + 1) ** 2 * max(1.0, abs(plan.final_scale)))
     z = 3.0 * m * m
-    steps = [
-        clenshaw_step_net(pattern, plan.coeffs[k], delta, z) for k in range(m - 1, -1, -1)
-    ]
+    # one body for all m steps; only the fused output layer depends on alpha_bar
+    body = _clenshaw_body(pattern, delta, z)
+    steps = [_fuse_combination(body, pattern, plan.coeffs[k]) for k in range(m - 1, -1, -1)]
     # rescale layer: B^v = sigma0 I - (slope/Lam) A over the pattern,
     # rhat = r / Lam, Clenshaw carries start at zero
     slope = 2.0 * spec.kappa / (spec.kappa - 1.0)

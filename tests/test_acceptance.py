@@ -14,7 +14,7 @@ import pytest
 
 from conftest import diagonal_pattern, random_operator
 from relusolve.arithmetic import SparseMatrix, mult_net, sparse_matvec_net
-from relusolve.calculus import concat_sparse, identity_net, parallelize, scale_add_net
+from relusolve.calculus import identity_net, parallelize, pipeline, scale_add_net
 from relusolve.network import ReluNetwork, evaluate, make_layer, stats
 from relusolve.problems import gen_laplacian, random_rhs
 from relusolve.reference import (
@@ -257,7 +257,7 @@ def test_criterion_09_calculus_exactness_and_size_bounds():
         a, b, c = (int(rng.integers(1, 6)) for _ in range(3))
         g = _random_member(rng, a, b, int(rng.integers(1, 5)))
         f = _random_member(rng, b, c, int(rng.integers(1, 5)))
-        net = concat_sparse(f, g)
+        net = pipeline((g, f))
         x = rng.standard_normal(a)
         assert np.array_equal(evaluate(net, x), evaluate(f, evaluate(g, x)))
         st, sf, sg = stats(net), stats(f), stats(g)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import random_affine, weights_of
 from relusolve.calculus import (
     affine_net,
-    concat_sparse,
     identity_net,
     parallelize,
     parallelize_shared,
@@ -85,7 +84,7 @@ def test_concat_sparse_composes_exactly_with_additive_depth():
         n_in, n_mid, n_out = rng.integers(1, 6, size=3)
         g = random_affine(rng, int(n_mid), int(n_in))
         f = random_affine(rng, int(n_out), int(n_mid))
-        net = concat_sparse(f, g)
+        net = pipeline((g, f))
         assert net.depth == f.depth + g.depth
         assert weights_of(net) <= 3 * (weights_of(f) + weights_of(g))
         x = rng.normal(size=int(n_in)) * 3.0

@@ -213,6 +213,15 @@ def test_clenshaw_step_net_rejects_unnormalized_coefficient():
         clenshaw_step_net(tridiagonal_pattern(3), 1.5, 1e-3, 1.0)
 
 
+def test_cg_build_shares_one_step_body():
+    # the m steps share every layer of the step body except the fused output one
+    fem = gen_laplacian(1, 16)
+    net = build_cg_net(fem.pattern, fem.spectral, SolverConfig("cg", 0.1))
+    meta = net.metadata
+    step = clenshaw_step_net(fem.pattern, 1.0, meta["delta"], meta["z"])
+    assert len({id(layer) for layer in net.layers}) <= step.depth + meta["m"] + 2
+
+
 @pytest.mark.parametrize("method,builder", [("richardson", build_richardson_net), ("cg", build_cg_net)])
 def test_builders_meet_the_accuracy_contract(method, builder):
     fem = gen_laplacian(1, 8)
