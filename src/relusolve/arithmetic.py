@@ -133,55 +133,49 @@ class SparseMatrix:
         return f"SparseMatrix(n={self.pattern.n}, eta={self.pattern.eta})"
 
 
-def _saw_stage_layers(num_terms: int, s: int, first_width: int):
-    """Stage layers shared by all product nets.
+def _saw_stage_layers(num_terms: int, s: int, chains: int):
+    """Sawtooth stage layers shared by square_net and the product nets.
 
-    Terms occupy 8 channels each, interleaved u/v: (n1u, n1v, n2u, n2v,
-    n3u, n3v, cu, cv).  Stage 1 reads the pair-abs layer where term p owns
-    columns 4p..4p+3 = (u+, u-, v+, v-).
+    Each term runs `chains` interleaved chains (one for square_net; two, u
+    and v, for the product nets) on 4 * chains channels (n1, n2, n3, c),
+    e.g. (n1u, n1v, n2u, n2v, n3u, n3v, cu, cv).  Stage 1 reads the abs
+    layer where term p owns columns from 2 * chains * p on, a (+, -) pair
+    per chain.
     """
+    width = 4 * chains * num_terms
+    bias = np.zeros((num_terms, 4, chains))
+    bias[:, 1] = -0.5
+    bias[:, 2] = -1.0
+    bias = bias.reshape(-1)
     layers = []
     for stage in range(1, s + 1):
-        rows, cols, vals, bias_rows, bias_vals = [], [], [], [], []
-        width = 8 * num_terms
+        rows, cols, vals = [], [], []
+        q = 4.0 ** (-(stage - 1))
         for p in range(num_terms):
-            out = 8 * p
-            if stage == 1:
-                src = 4 * p
-                u_cols, v_cols = (src, src + 1), (src + 2, src + 3)
-                u_vals = v_vals = (1.0, 1.0)
-            else:
-                src = 8 * p
-                u_cols, v_cols = (src, src + 2, src + 4), (src + 1, src + 3, src + 5)
-                u_vals = v_vals = (2.0, -4.0, 2.0)
-            for kind in range(3):  # n1, n2, n3 rows for u then v
-                for side, scols, svals in ((0, u_cols, u_vals), (1, v_cols, v_vals)):
-                    r = out + 2 * kind + side
-                    rows.extend([r] * len(scols))
+            out = 4 * chains * p
+            for side in range(chains):
+                if stage == 1:
+                    src = 2 * chains * p + 2 * side
+                    scols, svals = [src, src + 1], [1.0, 1.0]
+                else:
+                    scols = [out + side, out + chains + side, out + 2 * chains + side]
+                    svals = [2.0, -4.0, 2.0]
+                for kind in range(3):  # n1, n2, n3
+                    rows.extend([out + chains * kind + side] * len(scols))
                     cols.extend(scols)
                     vals.extend(svals)
-                    if kind == 1:
-                        bias_rows.append(r)
-                        bias_vals.append(-0.5)
-                    elif kind == 2:
-                        bias_rows.append(r)
-                        bias_vals.append(-1.0)
-            # carry rows: c_new = c - (2 n1 - 4 n2 + 2 n3)/4^(stage-1), first
-            # stage just copies |input| (f_0(u) = u)
-            for side, scols, svals in ((0, u_cols, u_vals), (1, v_cols, v_vals)):
-                r = out + 6 + side
+                # carry c_new = c - (2 n1 - 4 n2 + 2 n3)/4^(stage-1); the
+                # first stage just copies |input| (f_0(u) = u)
+                carry = out + 3 * chains + side
                 if stage == 1:
-                    rows.extend([r] * len(scols))
+                    rows.extend([carry] * 2)
                     cols.extend(scols)
                     vals.extend(svals)
                 else:
-                    q = 4.0 ** (-(stage - 1))
-                    rows.extend([r] * 4)
-                    cols.extend([src + 6 + side, scols[0], scols[1], scols[2]])
+                    rows.extend([carry] * 4)
+                    cols.extend([carry] + scols)
                     vals.extend([1.0, -2.0 * q, 4.0 * q, -2.0 * q])
-        in_width = first_width if stage == 1 else 8 * num_terms
-        bias = np.zeros(width)
-        bias[bias_rows] = bias_vals
+        in_width = 2 * chains * num_terms if stage == 1 else width
         layers.append(make_layer((width, in_width), rows, cols, vals, bias))
     return layers
 
@@ -223,7 +217,7 @@ def _polarized_sum_net(
             vals.extend([a_sign * v for v in a_vals] + [b_sign * v for v in b_vals])
     first_width = 4 * num_terms if with_selection else n_in
     layers.append(make_layer((4 * num_terms, first_width), rows, cols, vals))
-    layers.extend(_saw_stage_layers(num_terms, s, 4 * num_terms))
+    layers.extend(_saw_stage_layers(num_terms, s, chains=2))
     # summation layer; within a term the columns run n1u, n1v, n2u, n2v,
     # n3u, n3v, cu, cv so every +/- pair is adjacent and cancels first
     qf = 4.0 ** (-s)
@@ -250,27 +244,7 @@ def square_net(s: int, D: float = 1.0) -> ReluNetwork:
         raise ValueError("domain bound must be at least 1")
     D = float(D)
     layers = [make_layer((2, 1), [0, 1], [0, 0], [1.0 / D, -1.0 / D])]
-    for stage in range(1, s + 1):
-        rows, cols, vals = [], [], []
-        if stage == 1:
-            src_cols, src_vals = (0, 1), (1.0, 1.0)
-        else:
-            src_cols, src_vals = (0, 1, 2), (2.0, -4.0, 2.0)
-        for kind in range(3):
-            rows.extend([kind] * len(src_cols))
-            cols.extend(src_cols)
-            vals.extend(src_vals)
-        if stage == 1:
-            rows.extend([3, 3])
-            cols.extend([0, 1])
-            vals.extend([1.0, 1.0])
-        else:
-            q = 4.0 ** (-(stage - 1))
-            rows.extend([3, 3, 3, 3])
-            cols.extend([3, 0, 1, 2])
-            vals.extend([1.0, -2.0 * q, 4.0 * q, -2.0 * q])
-        bias = np.array([0.0, -0.5, -1.0, 0.0])
-        layers.append(make_layer((4, 2 if stage == 1 else 4), rows, cols, vals, bias))
+    layers.extend(_saw_stage_layers(1, s, chains=1))
     qf = 4.0 ** (-s)
     D2 = D * D
     layers.append(

@@ -1,7 +1,8 @@
 """Command-line front end: generate problems, build solver nets, verify, audit.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
-3 I/O or file-format failure.  All commands are deterministic given --seed
+Exit codes: 0 success, 1 verification failure, 2 invalid arguments
+(including inputs that drive the network to a non-finite value), 3 I/O or
+file-format failure.  All commands are deterministic given --seed
 and echo their full parameter set in the emitted report.
 """
 
@@ -11,16 +12,22 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-import tempfile
 import time
 
 import numpy as np
 
 from . import __version__
 from .arithmetic import SparseMatrix
-from .network import NetworkFormatError, evaluate, load_network, save_network, stats
+from .network import (
+    EvaluationFault,
+    NetworkFormatError,
+    atomic_write_text,
+    evaluate,
+    load_network,
+    save_network,
+    stats,
+)
 from .problems import (
     CooFormatError,
     EigenEstimationError,
@@ -45,23 +52,10 @@ EIG_TOL = 1e-6
 EIG_FOLD = 10.0 * EIG_TOL
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit_report(report: dict, out_path=None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
-        _atomic_write_text(out_path, text)
+        atomic_write_text(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -166,18 +160,13 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _require_metadata(net):
+def _load_for_problem(args):
+    """Load args.net and resolve the problem flags it must have been built for."""
+    net = load_network(args.net)
     meta = net.metadata
     required = ("method", "n", "eta", "lambda", "Lambda", "epsilon", "c_sc", "m")
     if not isinstance(meta, dict) or any(key not in meta for key in required):
         raise ValueError("network metadata missing or incomplete; rebuild with this tool")
-    return meta
-
-
-def cmd_eval(args) -> int:
-    t0 = time.perf_counter()
-    net = load_network(args.net)
-    meta = _require_metadata(net)
     pattern, matrix, spec, desc = _resolve_problem(
         args.problem, args.n, args.seed, args.lam, args.lam_max
     )
@@ -186,6 +175,12 @@ def cmd_eval(args) -> int:
             f"problem size (n={pattern.n}, eta={pattern.eta}) does not match network "
             f"metadata (n={meta['n']}, eta={meta['eta']})"
         )
+    return net, meta, pattern, matrix, spec
+
+
+def cmd_eval(args) -> int:
+    t0 = time.perf_counter()
+    net, meta, pattern, matrix, spec = _load_for_problem(args)
     if args.rhs:
         r = np.loadtxt(args.rhs, dtype=np.float64).reshape(-1)
         if r.shape[0] != pattern.n:
@@ -194,7 +189,7 @@ def cmd_eval(args) -> int:
         r = random_rhs(pattern.n, meta["c_sc"], meta["lambda"], args.seed)
     out = evaluate(net, np.concatenate([matrix.values, r]))
     if args.out:
-        _atomic_write_text(args.out, "\n".join(repr(float(v)) for v in out) + "\n")
+        atomic_write_text(args.out, "\n".join(repr(float(v)) for v in out) + "\n")
     report = {
         "command": "eval",
         "version": __version__,
@@ -212,33 +207,24 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    net = load_network(args.net)
-    meta = _require_metadata(net)
-    pattern, matrix, spec, desc = _resolve_problem(
-        args.problem, args.n, args.seed, args.lam, args.lam_max
-    )
-    if pattern.n != meta["n"] or pattern.eta != meta["eta"]:
-        raise ValueError(
-            f"problem size (n={pattern.n}, eta={pattern.eta}) does not match network "
-            f"metadata (n={meta['n']}, eta={meta['eta']})"
-        )
+    net, meta, pattern, matrix, spec = _load_for_problem(args)
     n = pattern.n
     eps, c_sc, lam = meta["epsilon"], meta["c_sc"], meta["lambda"]
-    sample_random_matrix = args.problem == "random"
-    errors = []
-    realized = []
-    for k in range(args.samples):
-        r = random_rhs(n, c_sc, lam, args.seed + k)
-        if sample_random_matrix:
-            A_k = random_spd(pattern, spec, args.seed + 100_000 + k)
-        else:
-            A_k = matrix
-        x = solve_exact(A_k.to_dense(), r)
-        out = evaluate(net, np.concatenate([A_k.values, r]))
-        errors.append(float(np.linalg.norm(x - out)))
-        realized.append(float(np.linalg.norm(r) / lam))
-    zero_out = evaluate(net, np.concatenate([matrix.values, np.zeros(n)]))
-    zero_exact = bool(np.all(zero_out == 0.0))
+    rhs = [random_rhs(n, c_sc, lam, args.seed + k) for k in range(args.samples)]
+    if args.problem == "random":
+        mats = [random_spd(pattern, spec, args.seed + 100_000 + k) for k in range(args.samples)]
+    else:
+        mats = [matrix] * args.samples
+    # one column per sample, then a zero rhs on the base matrix
+    columns = [np.concatenate([A_k.values, r]) for A_k, r in zip(mats, rhs)]
+    columns.append(np.concatenate([matrix.values, np.zeros(n)]))
+    out = evaluate(net, np.column_stack(columns))
+    errors = [
+        float(np.linalg.norm(solve_exact(A_k.to_dense(), r) - out[:, k]))
+        for k, (A_k, r) in enumerate(zip(mats, rhs))
+    ]
+    realized = [float(np.linalg.norm(r) / lam) for r in rhs]
+    zero_exact = bool(np.all(out[:, -1] == 0.0))
     max_error = max(errors) if errors else 0.0
     passed = max_error <= eps
     st = stats(net)
@@ -330,7 +316,7 @@ def cmd_audit(args) -> int:
         writer.writerows(rows)
         text = buf.getvalue()
         if args.out:
-            _atomic_write_text(args.out, text)
+            atomic_write_text(args.out, text)
         else:
             sys.stdout.write(text)
     else:
@@ -436,7 +422,7 @@ def main(argv=None) -> int:
     except EigenEstimationError as exc:
         print(f"error: {exc} (partial estimates {exc.lam_est}, {exc.Lam_est})", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, EvaluationFault) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,6 +5,16 @@ x -> max(W x + b, 0) after every layer except the last, which stays affine.
 Weight matrices are kept in canonical CSR form without explicit zeros, so the
 weight count of a layer is exactly the number of stored entries plus the
 number of nonzero bias components.
+
+On disk a network is JSON: the widths, per layer its shape, row-major
+[i, j, w] triplets and [i, b] pairs for the nonzero bias, and the metadata.
+A layer object repeated across positions is encoded once.  Decoding goes
+through make_layer, the check the builders use.  NetworkFormatError is raised
+for a missing field, a layer shape that is not two counts, an entry that is
+not a list of numbers of the right length, a non-integer or out-of-range
+index, a non-finite weight or bias, or widths that disagree with the layers.  Duplicate triplets, explicit
+zeros and duplicate bias indices are dropped (the first occurrence is kept)
+and recorded in load_defects, which validate() reports.
 """
 
 from __future__ import annotations
@@ -79,22 +89,28 @@ class Layer:
 
 
 def make_layer(shape, rows, cols, vals, bias=None) -> Layer:
-    """Build a layer from triplets, dropping zeros and rejecting duplicates."""
+    """Build a layer from triplets, dropping zeros and rejecting bad entries.
+
+    This is the one check of layer contents, for builders and for decoded
+    files alike: every index lies inside shape, no position is stored twice
+    once zeros are dropped, and weights and bias are finite.
+    """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=np.float64)
     if not (len(rows) == len(cols) == len(vals)):
         raise ValueError("triplet arrays must have equal length")
+    outside = (rows < 0) | (rows >= shape[0]) | (cols < 0) | (cols >= shape[1])
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(f"triplet ({rows[k]}, {cols[k]}) out of range")
     keep = vals != 0.0
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    if len(rows):
-        if rows.min() < 0 or rows.max() >= shape[0] or cols.min() < 0 or cols.max() >= shape[1]:
-            raise ValueError("triplet index out of range")
-        flat = rows * shape[1] + cols
-        if len(np.unique(flat)) != len(flat):
-            raise ValueError("duplicate triplet positions")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("non-finite weight value")
+    flat = rows * shape[1] + cols
+    if len(np.unique(flat)) != len(flat):
+        raise ValueError("duplicate triplet positions")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("non-finite weight value")
     w = sp.csr_matrix((vals, (rows, cols)), shape=shape)
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
@@ -204,25 +220,87 @@ def validate(net: ReluNetwork) -> list:
     return defects
 
 
+def _layer_to_dict(layer: Layer) -> dict:
+    # canonical CSR (sorted indices) already lists the triplets row-major
+    w = layer.weight
+    rows = np.repeat(np.arange(layer.rows), np.diff(w.indptr))
+    nonzero = np.flatnonzero(layer.bias)
+    return {
+        "rows": layer.rows,
+        "cols": layer.cols,
+        "triplets": list(map(list, zip(rows.tolist(), w.indices.tolist(), w.data.tolist()))),
+        "bias": list(map(list, zip(nonzero.tolist(), layer.bias[nonzero].tolist()))),
+    }
+
+
 def network_to_dict(net: ReluNetwork) -> dict:
+    """JSON-ready dict; a repeated layer is encoded once and its dict shared."""
+    encoded = {}
     layers = []
     for layer in net.layers:
-        coo = layer.weight.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        triplets = [
-            [int(coo.row[k]), int(coo.col[k]), float(coo.data[k])] for k in order
-        ]
-        bias = [[int(i), float(v)] for i, v in enumerate(layer.bias) if v != 0.0]
-        layers.append(
-            {"rows": layer.rows, "cols": layer.cols, "triplets": triplets, "bias": bias}
-        )
+        if id(layer) not in encoded:
+            encoded[id(layer)] = _layer_to_dict(layer)
+        layers.append(encoded[id(layer)])
     out = {"widths": list(net.widths), "layers": layers}
     if net.metadata is not None:
         out["metadata"] = net.metadata
     return out
 
 
+def _decode_entries(items, width: int, idx: int, what: str):
+    """(indices, values, first occurrence mask) of [index..., value] entries.
+
+    Each entry must hold `width` numbers and integer indices; ranges are not checked.
+    """
+    try:
+        table = np.array(items, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise NetworkFormatError(f"layer {idx}: malformed {what}s ({exc})") from exc
+    if table.shape == (0,):
+        table = table.reshape(0, width)
+    if table.ndim != 2 or table.shape[1] != width:
+        raise NetworkFormatError(f"layer {idx}: malformed {what}s (each needs {width} numbers)")
+    index = table[:, :-1]
+    bad = ~((np.floor(index) == index) & (np.abs(index) < 2.0**53)).all(axis=1)
+    if bad.any():
+        entry = items[int(np.argmax(bad))]
+        raise NetworkFormatError(f"layer {idx}: malformed {what} {entry!r} (non-integer index)")
+    index = index.astype(np.int64)
+    first = np.zeros(len(table), dtype=bool)
+    first[np.unique(index, axis=0, return_index=True)[1]] = True
+    return index, table[:, -1], first
+
+
+def _decode_layer(idx: int, entry, defects: list) -> Layer:
+    try:
+        shape = (int(entry["rows"]), int(entry["cols"]))
+        triplets = entry["triplets"]
+        bias_pairs = entry["bias"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise NetworkFormatError(f"layer {idx}: malformed entry ({exc})") from exc
+    if min(shape) < 0 or (entry["rows"], entry["cols"]) != shape:
+        raise NetworkFormatError(f"layer {idx}: malformed entry (shape is not two counts)")
+    ij, vals, first = _decode_entries(triplets, 3, idx, "triplet")
+    for k in np.flatnonzero(~first | (vals == 0.0)):
+        kind = "explicit zero stored at" if first[k] else "duplicate triplet"
+        defects.append(f"layer {idx}: {kind} ({ij[k, 0]}, {ij[k, 1]})")
+    bias_index, bias_vals, bias_first = _decode_entries(bias_pairs, 2, idx, "bias pair")
+    bias_index = bias_index[:, 0]
+    outside = (bias_index < 0) | (bias_index >= shape[0])
+    if outside.any():
+        i = bias_index[np.argmax(outside)]
+        raise NetworkFormatError(f"layer {idx}: bias index {i} out of range")
+    defects.extend(f"layer {idx}: duplicate bias index {i}" for i in bias_index[~bias_first])
+    bias = np.zeros(shape[0])
+    bias[bias_index[bias_first]] = bias_vals[bias_first]
+    try:
+        return make_layer(shape, ij[first, 0], ij[first, 1], vals[first], bias)
+    except ValueError as exc:
+        raise NetworkFormatError(f"layer {idx}: {exc}") from exc
+
+
 def network_from_dict(data: dict) -> ReluNetwork:
+    """Decode network_to_dict output; see the module docstring for defects."""
     try:
         widths = list(data["widths"])
         raw_layers = data["layers"]
@@ -231,44 +309,7 @@ def network_from_dict(data: dict) -> ReluNetwork:
     if not raw_layers:
         raise NetworkFormatError("network has no layers")
     defects = []
-    layers = []
-    for idx, entry in enumerate(raw_layers, start=1):
-        try:
-            shape = (int(entry["rows"]), int(entry["cols"]))
-            triplets = entry["triplets"]
-            bias_pairs = entry["bias"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise NetworkFormatError(f"layer {idx}: malformed entry ({exc})") from exc
-        seen = set()
-        rows, cols, vals = [], [], []
-        for trip in triplets:
-            try:
-                i, j, v = int(trip[0]), int(trip[1]), float(trip[2])
-            except (TypeError, ValueError, IndexError) as exc:
-                raise NetworkFormatError(f"layer {idx}: malformed triplet {trip!r}") from exc
-            if not (0 <= i < shape[0] and 0 <= j < shape[1]):
-                raise NetworkFormatError(f"layer {idx}: triplet ({i}, {j}) out of range")
-            if (i, j) in seen:
-                defects.append(f"layer {idx}: duplicate triplet ({i}, {j})")
-                continue
-            seen.add((i, j))
-            if v == 0.0:
-                defects.append(f"layer {idx}: explicit zero stored at ({i}, {j})")
-                continue
-            rows.append(i)
-            cols.append(j)
-            vals.append(v)
-        bias = np.zeros(shape[0])
-        for pair in bias_pairs:
-            try:
-                i, v = int(pair[0]), float(pair[1])
-            except (TypeError, ValueError, IndexError) as exc:
-                raise NetworkFormatError(f"layer {idx}: malformed bias pair {pair!r}") from exc
-            if not 0 <= i < shape[0]:
-                raise NetworkFormatError(f"layer {idx}: bias index {i} out of range")
-            bias[i] = v
-        w = sp.csr_matrix((vals, (rows, cols)), shape=shape)
-        layers.append(Layer(w, bias))
+    layers = [_decode_layer(idx, entry, defects) for idx, entry in enumerate(raw_layers, start=1)]
     net = ReluNetwork(layers, metadata=data.get("metadata"), load_defects=defects)
     if list(net.widths) != widths:
         raise NetworkFormatError(
@@ -277,20 +318,23 @@ def network_from_dict(data: dict) -> ReluNetwork:
     return net
 
 
-def save_network(net: ReluNetwork, path) -> None:
-    """Serialize to JSON, written atomically (temp file + rename)."""
-    payload = json.dumps(network_to_dict(net), separators=(",", ":"))
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
+def atomic_write_text(path, text: str) -> None:
+    """Write text to path through a temp file in the same directory + rename."""
+    directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_network(net: ReluNetwork, path) -> None:
+    """Serialize to JSON, written atomically (temp file + rename)."""
+    atomic_write_text(path, json.dumps(network_to_dict(net), separators=(",", ":")))
 
 
 def load_network(path) -> ReluNetwork:

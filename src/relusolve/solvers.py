@@ -104,30 +104,26 @@ class SolverConfig:
             )
 
 
-def m_richardson(eps: float, c_sc: float, rho1: float) -> int:
-    """Step count ceil(|log2(eps/(2 c_sc))| / |log2 rho1|); 1 when rho1 = 0."""
+def _step_count(eps: float, c_sc: float, rho: float, factor: float) -> int:
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if c_sc < 1.0:
         raise ValueError("c_sc must be at least 1")
-    if not 0.0 <= rho1 < 1.0:
+    if not 0.0 <= rho < 1.0:
         raise ValueError("rho must lie in [0, 1)")
-    if rho1 == 0.0:
+    if rho == 0.0:
         return 1
-    return max(1, math.ceil(abs(math.log2(eps / (2.0 * c_sc))) / abs(math.log2(rho1))))
+    return max(1, math.ceil(abs(math.log2(eps / (factor * c_sc))) / abs(math.log2(rho))))
+
+
+def m_richardson(eps: float, c_sc: float, rho1: float) -> int:
+    """Step count ceil(|log2(eps/(2 c_sc))| / |log2 rho1|); 1 when rho1 = 0."""
+    return _step_count(eps, c_sc, rho1, 2.0)
 
 
 def m_cg(eps: float, c_sc: float, rho_half: float) -> int:
     """Step count ceil(|log2(eps/(4 c_sc))| / |log2 rho_half|); 1 when rho = 0."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if c_sc < 1.0:
-        raise ValueError("c_sc must be at least 1")
-    if not 0.0 <= rho_half < 1.0:
-        raise ValueError("rho must lie in [0, 1)")
-    if rho_half == 0.0:
-        return 1
-    return max(1, math.ceil(abs(math.log2(eps / (4.0 * c_sc))) / abs(math.log2(rho_half))))
+    return _step_count(eps, c_sc, rho_half, 4.0)
 
 
 @dataclass(frozen=True)
@@ -256,12 +252,20 @@ def clenshaw_step_net(
     return _fuse_combination(_clenshaw_body(pattern, delta, z), pattern, alpha_bar)
 
 
-def _degenerate_affine_solver(pattern: SparsityPattern, spec: SpectralClass) -> ReluNetwork:
+def _prologue(method, pattern: SparsityPattern, spec: SpectralClass, config: SolverConfig):
+    """Shared argument checks; the exact affine solver net when kappa == 1, else None."""
+    if config.method != method:
+        raise ValueError(f"config.method must be {method!r}")
+    if not pattern.has_full_diagonal():
+        raise ValueError("pattern must contain every diagonal position")
+    config.validate_against(spec)
+    if spec.kappa != 1.0:
+        return None
     # kappa = 1 means A = lam * I on the spectrum, so x = r / lam exactly
     n, eta = pattern.n, pattern.eta
     idx = np.arange(n)
     layer = make_layer((n, eta + n), idx, eta + idx, np.full(n, 1.0 / spec.lam))
-    return ReluNetwork([layer])
+    return ReluNetwork([layer], metadata=_header(method, pattern, spec, config, 0))
 
 
 def _header(method, pattern, spec, config, m, **extra):
@@ -289,16 +293,10 @@ def build_richardson_net(
     symmetric A in the pattern class with spectrum in [lam, Lam] and
     ||r||_2 <= c_sc * lam the output is within epsilon of A^{-1} r.
     """
-    if config.method != "richardson":
-        raise ValueError("config.method must be 'richardson'")
-    if not pattern.has_full_diagonal():
-        raise ValueError("pattern must contain every diagonal position")
-    config.validate_against(spec)
+    exact = _prologue("richardson", pattern, spec, config)
+    if exact is not None:
+        return exact
     n, eta = pattern.n, pattern.eta
-    if spec.kappa == 1.0:
-        net = _degenerate_affine_solver(pattern, spec)
-        net.metadata = _header("richardson", pattern, spec, config, 0)
-        return net
     omega = spec.omega
     m = m_richardson(config.epsilon, config.c_sc, rho_alpha(spec, 1.0))
     delta = config.epsilon / (2.0 * m * m)
@@ -328,16 +326,10 @@ def build_cg_net(
     Same input/output contract as build_richardson_net, with the step count
     driven by rho_{1/2} instead of rho_1.
     """
-    if config.method != "cg":
-        raise ValueError("config.method must be 'cg'")
-    if not pattern.has_full_diagonal():
-        raise ValueError("pattern must contain every diagonal position")
-    config.validate_against(spec)
+    exact = _prologue("cg", pattern, spec, config)
+    if exact is not None:
+        return exact
     n, eta = pattern.n, pattern.eta
-    if spec.kappa == 1.0:
-        net = _degenerate_affine_solver(pattern, spec)
-        net.metadata = _header("cg", pattern, spec, config, 0)
-        return net
     m = m_cg(config.epsilon, config.c_sc, rho_alpha(spec, 0.5))
     plan = cheb_plan(m, spec)
     delta = config.epsilon / (2.0 * (m + 1) ** 2 * max(1.0, abs(plan.final_scale)))

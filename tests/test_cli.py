@@ -95,6 +95,16 @@ def test_verify_fails_on_zeroed_weight(capsys, tmp_path):
     assert rc == 1
 
 
+def test_verify_rejects_non_finite_weight_as_format_error(capsys, tmp_path):
+    path, _ = build_small_net(capsys, tmp_path)
+    data = json.loads(path.read_text())
+    data["layers"][1]["triplets"][0][2] = float("nan")
+    path.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, "verify", "--net", str(path), "--n", "8")
+    assert rc == 3
+    assert "layer 2: non-finite weight" in err
+
+
 def test_verify_rejects_mismatched_problem_size(capsys, tmp_path):
     path, _ = build_small_net(capsys, tmp_path)
     rc, out, err = run_cli(
@@ -142,6 +152,13 @@ def test_eval_accepts_rhs_file_and_checks_length(capsys, tmp_path):
     )
     assert rc == 2
     assert "rhs has 2 entries" in err
+    nan_rhs = tmp_path / "nan.txt"
+    nan_rhs.write_text("\n".join(["0.01"] * 7 + ["nan"]) + "\n")
+    rc, out, err = run_cli(
+        capsys, "eval", "--net", str(path), "--n", "8", "--rhs", str(nan_rhs)
+    )
+    assert rc == 2
+    assert err.startswith("error: layer 1: non-finite")
 
 
 def test_gen_round_trips_through_read_coo(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Representation, evaluation, and serialization round-trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,6 +22,8 @@ from relusolve.network import (
     stats,
     validate,
 )
+from relusolve.problems import gen_laplacian
+from relusolve.solvers import SolverConfig, build_cg_net, build_richardson_net
 
 
 def test_make_layer_drops_explicit_zeros():
@@ -157,6 +161,23 @@ def test_save_and_load_file_round_trip(tmp_path):
     assert np.array_equal(evaluate(back, x), evaluate(net, x))
 
 
+@pytest.mark.parametrize(
+    "method, build, digest",
+    [
+        ("richardson", build_richardson_net,
+         "dfffb342444e7982ed6cd7f7a137e6d0c6272d20a4761c58819459ebaaff764f"),
+        ("cg", build_cg_net,
+         "731e3ec00917ef2ce8c5a097e189c17ec018c4aa939c97c8ee6de8a63c0749b9"),
+    ],
+)
+def test_saved_file_bytes_are_frozen(tmp_path, method, build, digest):
+    fem = gen_laplacian(1, 4)
+    net = build(fem.pattern, fem.spectral, SolverConfig(method, 0.5))
+    path = tmp_path / "net.json"
+    save_network(net, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -188,6 +209,28 @@ def test_from_dict_rejects_out_of_range_entries():
     bad_bias = {**base, "layers": [{**base["layers"][0], "bias": [[7, 1.0]]}]}
     with pytest.raises(NetworkFormatError, match="bias index 7"):
         network_from_dict(bad_bias)
+    # (0, 2) has the flat key 0 * 2 + 2 of (1, 0); it must not pass as a duplicate
+    aliased = {
+        "widths": [2, 2],
+        "layers": [{"rows": 2, "cols": 2, "triplets": [[1, 0, 1.0], [0, 2, 1.0]], "bias": []}],
+    }
+    with pytest.raises(NetworkFormatError, match=r"\(0, 2\) out of range"):
+        network_from_dict(aliased)
+    zero_outside = {**base, "layers": [{**base["layers"][0], "triplets": [[0, 5, 0.0]]}]}
+    with pytest.raises(NetworkFormatError, match="out of range"):
+        network_from_dict(zero_outside)
+    for rows in (-1, 1.5):
+        bad_shape = {"widths": [2, rows], "layers": [{**base["layers"][0], "rows": rows}]}
+        with pytest.raises(NetworkFormatError, match="malformed entry"):
+            network_from_dict(bad_shape)
+    for field, value, message in (
+        ("triplets", [[0, 0, float("nan")]], "non-finite weight"),
+        ("triplets", [[0, 1, float("-inf")]], "non-finite weight"),
+        ("bias", [[0, float("inf")]], "non-finite bias"),
+    ):
+        bad = {**base, "layers": [{**base["layers"][0], field: value}]}
+        with pytest.raises(NetworkFormatError, match=message):
+            network_from_dict(bad)
 
 
 def test_from_dict_rejects_malformed_triplet():
@@ -196,6 +239,14 @@ def test_from_dict_rejects_malformed_triplet():
         "layers": [{"rows": 1, "cols": 1, "triplets": [["x"]], "bias": []}],
     }
     with pytest.raises(NetworkFormatError, match="malformed triplet"):
+        network_from_dict(data)
+    for triplets in ([[0.7, 0.2, 1.0]], [[0, 0, 1.0, 5.0]], [[0, 0]], [[0, 0, 1.0], [0]]):
+        data["layers"][0]["triplets"] = triplets
+        with pytest.raises(NetworkFormatError, match="malformed triplet"):
+            network_from_dict(data)
+    data["layers"][0]["triplets"] = []
+    data["layers"][0]["bias"] = [[0.5, 1.0]]
+    with pytest.raises(NetworkFormatError, match="malformed bias pair"):
         network_from_dict(data)
 
 
@@ -213,6 +264,12 @@ def test_from_dict_records_duplicates_and_zeros_as_defects():
     }
     net = network_from_dict(data)
     assert any("duplicate triplet" in d for d in net.load_defects)
+    assert net.layers[0].weight[0, 0] == 1.0  # the first occurrence is kept
+    data["layers"][0]["bias"] = [[0, 3.0], [0, 4.0]]
+    net = network_from_dict(data)
+    assert "layer 1: duplicate bias index 0" in net.load_defects
+    assert net.layers[0].bias[0] == 3.0
+    data["layers"][0]["bias"] = []
     data["layers"][0]["triplets"] = [[0, 0, 0.0]]
     data["widths"] = [1, 1]
     net = network_from_dict(data)
