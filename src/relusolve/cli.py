@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import resource
 import sys
 import time
 
@@ -93,6 +94,11 @@ def _estimate_bracket(matrix: SparseMatrix):
     return lam_est * (1.0 - EIG_FOLD), Lam_est * (1.0 + EIG_FOLD)
 
 
+def _peak_rss_mb() -> float:
+    # ru_maxrss is in kilobytes on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def _echo(args, keys):
     return {key: getattr(args, key.replace("-", "_")) for key in keys}
 
@@ -160,9 +166,14 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _load_for_problem(args):
-    """Load args.net and resolve the problem flags it must have been built for."""
+def _load_for_problem(args, durations: dict):
+    """Load args.net and resolve the problem flags it must have been built for.
+
+    The load time is recorded in durations["load_s"].
+    """
+    t0 = time.perf_counter()
     net = load_network(args.net)
+    durations["load_s"] = time.perf_counter() - t0
     meta = net.metadata
     required = ("method", "n", "eta", "lambda", "Lambda", "epsilon", "c_sc", "m")
     if not isinstance(meta, dict) or any(key not in meta for key in required):
@@ -180,14 +191,17 @@ def _load_for_problem(args):
 
 def cmd_eval(args) -> int:
     t0 = time.perf_counter()
-    net, meta, pattern, matrix, spec = _load_for_problem(args)
+    durations = {}
+    net, meta, pattern, matrix, spec = _load_for_problem(args, durations)
     if args.rhs:
         r = np.loadtxt(args.rhs, dtype=np.float64).reshape(-1)
         if r.shape[0] != pattern.n:
             raise ValueError(f"rhs has {r.shape[0]} entries, expected {pattern.n}")
     else:
         r = random_rhs(pattern.n, meta["c_sc"], meta["lambda"], args.seed)
+    t_eval = time.perf_counter()
     out = evaluate(net, np.concatenate([matrix.values, r]))
+    durations["eval_s"] = time.perf_counter() - t_eval
     if args.out:
         atomic_write_text(args.out, "\n".join(repr(float(v)) for v in out) + "\n")
     report = {
@@ -199,7 +213,8 @@ def cmd_eval(args) -> int:
             "rhs_norm": float(np.linalg.norm(r)),
             "realized_c_sc": float(np.linalg.norm(r) / meta["lambda"]),
         },
-        "durations": {"total_s": time.perf_counter() - t0},
+        "durations": {**durations, "total_s": time.perf_counter() - t0},
+        "peak_rss_mb": _peak_rss_mb(),
     }
     _emit_report(report)
     return 0
@@ -207,7 +222,8 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    net, meta, pattern, matrix, spec = _load_for_problem(args)
+    durations = {}
+    net, meta, pattern, matrix, spec = _load_for_problem(args, durations)
     n = pattern.n
     eps, c_sc, lam = meta["epsilon"], meta["c_sc"], meta["lambda"]
     rhs = [random_rhs(n, c_sc, lam, args.seed + k) for k in range(args.samples)]
@@ -218,7 +234,9 @@ def cmd_verify(args) -> int:
     # one column per sample, then a zero rhs on the base matrix
     columns = [np.concatenate([A_k.values, r]) for A_k, r in zip(mats, rhs)]
     columns.append(np.concatenate([matrix.values, np.zeros(n)]))
+    t_eval = time.perf_counter()
     out = evaluate(net, np.column_stack(columns))
+    durations["eval_s"] = time.perf_counter() - t_eval
     errors = [
         float(np.linalg.norm(solve_exact(A_k.to_dense(), r) - out[:, k]))
         for k, (A_k, r) in enumerate(zip(mats, rhs))
@@ -242,7 +260,8 @@ def cmd_verify(args) -> int:
             "realized_c_sc": realized,
             "stats": {"depth": st.depth, "weights": st.weights},
         },
-        "durations": {"total_s": time.perf_counter() - t0},
+        "durations": {**durations, "total_s": time.perf_counter() - t0},
+        "peak_rss_mb": _peak_rss_mb(),
     }
     _emit_report(report, args.out)
     return 0 if passed else 1

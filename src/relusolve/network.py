@@ -6,26 +6,41 @@ Weight matrices are kept in canonical CSR form without explicit zeros, so the
 weight count of a layer is exactly the number of stored entries plus the
 number of nonzero bias components.
 
+evaluate runs one loop over the layers.  Each layer calls scipy's compiled
+CSR kernel (csr_matvec for a vector, csr_matvecs for a column batch, the
+kernels W @ x ends in) with arguments the Layer prepared once, writing into
+a fresh zero array.  A nonzero bias is added in place.  The output is
+screened with one sum, and scanned exactly only when that sum is not finite,
+so EvaluationFault names the first layer holding an inf or NaN, read later
+or not.  Hidden layers then apply the ReLU in place.  The kernels check no
+shapes, so a layer whose input count or bias length does not fit raises
+ValueError before its kernel call.  The result is bit for bit that of
+relu(W @ x + b) per layer.
+
 On disk a network is JSON: the widths, per layer its shape, row-major
 [i, j, w] triplets and [i, b] pairs for the nonzero bias, and the metadata.
 A layer object repeated across positions is encoded once.  Decoding goes
 through make_layer, the check the builders use.  NetworkFormatError is raised
 for a missing field, a layer shape that is not two counts, an entry that is
 not a list of numbers of the right length, a non-integer or out-of-range
-index, a non-finite weight or bias, or widths that disagree with the layers.  Duplicate triplets, explicit
-zeros and duplicate bias indices are dropped (the first occurrence is kept)
-and recorded in load_defects, which validate() reports.
+index, a non-finite weight or bias, widths that disagree with the layers,
+or a layer whose input count differs from the previous layer's rows.
+Duplicate triplets, explicit zeros and duplicate bias indices are dropped
+(the first occurrence is kept) and recorded in load_defects, which
+validate() reports.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 __all__ = [
     "EvaluationFault",
@@ -64,7 +79,7 @@ class Layer:
     through make_layer which is strict.
     """
 
-    __slots__ = ("weight", "bias")
+    __slots__ = ("weight", "bias", "kernel_args")
 
     def __init__(self, weight, bias=None):
         w = sp.csr_matrix(weight, dtype=np.float64)
@@ -78,6 +93,9 @@ class Layer:
         # freeze the buffers; networks are immutable after construction
         for arr in (w.data, w.indices, w.indptr, b):
             arr.flags.writeable = False
+        # the CSR kernel arguments of evaluate, prepared once per layer object
+        # (a network repeats one object at many positions); a zero bias is None
+        self.kernel_args = (*w.shape, w.indptr, w.indices, w.data, b if b.any() else None)
 
     @property
     def rows(self) -> int:
@@ -153,24 +171,42 @@ class ReluNetwork:
 
 
 def evaluate(net: ReluNetwork, x) -> np.ndarray:
-    """Run the network on a vector, or on a (N0 x batch) matrix of columns."""
+    """Run the network on a vector, or on a (N0 x batch) matrix of columns.
+
+    Raises ValueError when a layer cannot read the values it receives and
+    EvaluationFault at the first layer whose output is not finite.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError("input must be a vector or a matrix of column samples")
-    if x.shape[0] != net.input_dim:
-        raise ValueError(f"input has {x.shape[0]} entries, network expects {net.input_dim}")
-    last = net.depth - 1
-    for idx, layer in enumerate(net.layers):
-        z = layer.weight @ x
-        if x.ndim == 1:
-            z = z + layer.bias
-        else:
-            z = z + layer.bias[:, None]
-        if not np.all(np.isfinite(z)):
-            raise EvaluationFault(idx + 1, "non-finite value in layer output")
-        if idx < last:
-            np.maximum(z, 0.0, out=z)
-        x = z
+    # the CSR kernels read raw row-major buffers and check no shapes
+    x = np.ascontiguousarray(x)
+    batch = x.shape[1:]
+    last = net.depth
+    # the screen's sum may overflow on finite values; that is not a fault
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, layer in enumerate(net.layers, start=1):
+            rows, cols, indptr, indices, data, bias = layer.kernel_args
+            if cols != x.shape[0]:
+                raise ValueError(_input_mismatch(idx, cols, x.shape[0]))
+            if layer.bias.shape[0] != rows:
+                raise ValueError(_bias_mismatch(idx, layer))
+            z = np.zeros((rows,) + batch)
+            if batch:
+                _sparsetools.csr_matvecs(rows, cols, batch[0], indptr, indices, data, x, z)
+            else:
+                _sparsetools.csr_matvec(rows, cols, indptr, indices, data, x, z)
+            # the kernels sum from +0.0 and never yield -0.0, so skipping a
+            # zero bias leaves every output bit as z + 0.0 would
+            if bias is not None:
+                z += bias[:, None] if batch else bias
+            # any inf or NaN makes the sum non-finite; the exact scan runs
+            # only then, so a finite layer whose sum overflows still passes
+            if not math.isfinite(z.sum()) and not np.isfinite(z).all():
+                raise EvaluationFault(idx, "non-finite value in layer output")
+            if idx < last:
+                np.maximum(z, 0.0, out=z)
+            x = z
     return x
 
 
@@ -199,20 +235,24 @@ def stats(net: ReluNetwork) -> NetworkStats:
     )
 
 
+def _input_mismatch(idx: int, cols: int, inputs: int) -> str:
+    return f"layer {idx}: weight expects {cols} inputs but receives {inputs}"
+
+
+def _bias_mismatch(idx: int, layer: Layer) -> str:
+    return f"layer {idx}: bias length {layer.bias.shape[0]} does not match {layer.rows} rows"
+
+
 def validate(net: ReluNetwork) -> list:
     """Return a list of structural defects (empty means well-formed)."""
     defects = list(net.load_defects)
     prev_rows = net.layers[0].cols
     for idx, layer in enumerate(net.layers, start=1):
         if layer.cols != prev_rows:
-            defects.append(
-                f"layer {idx}: weight expects {layer.cols} inputs but receives {prev_rows}"
-            )
+            defects.append(_input_mismatch(idx, layer.cols, prev_rows))
         prev_rows = layer.rows
         if layer.bias.shape[0] != layer.rows:
-            defects.append(
-                f"layer {idx}: bias length {layer.bias.shape[0]} does not match {layer.rows} rows"
-            )
+            defects.append(_bias_mismatch(idx, layer))
         if layer.weight.nnz and not np.all(np.isfinite(layer.weight.data)):
             defects.append(f"layer {idx}: non-finite weight entry")
         if not np.all(np.isfinite(layer.bias)):
@@ -310,6 +350,9 @@ def network_from_dict(data: dict) -> ReluNetwork:
         raise NetworkFormatError("network has no layers")
     defects = []
     layers = [_decode_layer(idx, entry, defects) for idx, entry in enumerate(raw_layers, start=1)]
+    for idx, (prev, layer) in enumerate(zip(layers, layers[1:]), start=2):
+        if layer.cols != prev.rows:
+            raise NetworkFormatError(_input_mismatch(idx, layer.cols, prev.rows))
     net = ReluNetwork(layers, metadata=data.get("metadata"), load_defects=defects)
     if list(net.widths) != widths:
         raise NetworkFormatError(

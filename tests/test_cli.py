@@ -78,6 +78,8 @@ def test_verify_passes_on_intact_network(capsys, tmp_path):
     assert res["passed"] is True
     assert res["zero_rhs_exact"] is True
     assert res["max_error"] <= res["epsilon"]
+    assert {"load_s", "eval_s", "total_s"} <= set(report["durations"])
+    assert report["peak_rss_mb"] > 0
     assert len(res["per_sample_errors"]) == 20
 
 
@@ -103,6 +105,17 @@ def test_verify_rejects_non_finite_weight_as_format_error(capsys, tmp_path):
     rc, out, err = run_cli(capsys, "verify", "--net", str(path), "--n", "8")
     assert rc == 3
     assert "layer 2: non-finite weight" in err
+
+
+def test_verify_rejects_broken_shape_chain_as_format_error(capsys, tmp_path):
+    path, _ = build_small_net(capsys, tmp_path)
+    data = json.loads(path.read_text())
+    # the widths still match the rows, but layer 2 now reads one input too many
+    data["layers"][1]["cols"] += 1
+    path.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, "verify", "--net", str(path), "--n", "8")
+    assert rc == 3
+    assert "layer 2: weight expects" in err
 
 
 def test_verify_rejects_mismatched_problem_size(capsys, tmp_path):
@@ -135,6 +148,8 @@ def test_eval_writes_solution_vector(capsys, tmp_path):
     assert x.shape == (8,)
     assert np.allclose(x, report["results"]["output"], rtol=0, atol=0)
     assert abs(report["results"]["realized_c_sc"] - 1.0) <= 1e-9
+    assert {"load_s", "eval_s", "total_s"} <= set(report["durations"])
+    assert report["peak_rss_mb"] > 0
 
 
 def test_eval_accepts_rhs_file_and_checks_length(capsys, tmp_path):

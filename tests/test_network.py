@@ -1,6 +1,7 @@
 """Representation, evaluation, and serialization round-trips."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,65 @@ def test_evaluate_rejects_bad_inputs():
         evaluate(net, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="vector or a matrix"):
         evaluate(net, np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_evaluate_rejects_layers_that_do_not_fit(batch):
+    # Layer is permissive; evaluate must refuse before a kernel reads past a buffer
+    x = np.ones((3, 4)) if batch else np.ones(3)
+    broken_chain = ReluNetwork([Layer(sp.csr_matrix((2, 3))), Layer(sp.csr_matrix((1, 3)))])
+    with pytest.raises(ValueError, match="layer 2: weight expects 3 inputs but receives 2"):
+        evaluate(broken_chain, x)
+    eye = sp.eye(3, format="csr")
+    for bias in ([1.0, 2.0], [0.0, 0.0, 0.0, 0.0], [5.0]):
+        net = ReluNetwork([Layer(eye), Layer(eye, bias=bias)])
+        with pytest.raises(ValueError, match=f"layer 2: bias length {len(bias)} does not match 3"):
+            evaluate(net, x)
+
+
+def _fault_nets():
+    """Networks whose first non-finite value appears in layer 2 on input 1e308."""
+    # the second channel overflows and no later weight reads it
+    dead = ReluNetwork([make_layer((1, 1), [0], [0], [1.0]),
+                        make_layer((2, 1), [0, 1], [0, 0], [1.0, 4.0]),
+                        make_layer((1, 2), [0], [0], [1.0])])
+    # -inf that the ReLU would turn into 0 before the next layer reads it
+    negative = ReluNetwork([make_layer((1, 1), [0], [0], [1.0]),
+                            make_layer((2, 1), [0, 1], [0, 0], [1.0, -4.0]),
+                            make_layer((1, 2), [0, 0], [0, 1], [1.0, 1.0])])
+    # 4x - 4x on finite x: inf - inf, a NaN with no inf beside it
+    nan = ReluNetwork([make_layer((2, 1), [0, 1], [0, 0], [1.0, 1.0]),
+                       make_layer((1, 2), [0, 0], [0, 1], [4.0, -4.0]),
+                       make_layer((1, 1), [0], [0], [1.0])])
+    return [
+        pytest.param(dead, id="inf-in-dead-channel"),
+        pytest.param(negative, id="negative-inf"),
+        pytest.param(nan, id="nan"),
+    ]
+
+
+@pytest.mark.parametrize("net", _fault_nets())
+def test_evaluation_fault_names_the_first_non_finite_layer(net):
+    with pytest.raises(EvaluationFault) as exc:
+        evaluate(net, [1e308])
+    assert exc.value.layer_index == 2
+    # one bad column among finite ones fails the whole batch at the same layer
+    with pytest.raises(EvaluationFault) as exc:
+        evaluate(net, np.array([[1.0, 1e308, -2.0]]))
+    assert exc.value.layer_index == 2
+    assert np.isfinite(evaluate(net, np.array([[1.0, -2.0]]))).all()
+
+
+def test_evaluate_passes_finite_layers_whose_sum_overflows():
+    # two finite 1.5e308 rows: their sum overflows, no entry does
+    net = ReluNetwork([make_layer((2, 1), [0, 1], [0, 0], [1.5, 1.5]),
+                       make_layer((2, 2), [0, 1], [0, 1], [1.0, 1.0])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = evaluate(net, [1e308])
+        batch = evaluate(net, np.array([[1.0, 1e308]]))
+    assert out.tolist() == [1.5e308, 1.5e308]
+    assert batch.tolist() == [[1.5, 1.5e308], [1.5, 1.5e308]]
 
 
 def test_evaluate_raises_on_overflow():
@@ -233,6 +293,19 @@ def test_from_dict_rejects_out_of_range_entries():
             network_from_dict(bad)
 
 
+def test_from_dict_rejects_broken_shape_chain():
+    # widths agree with the rows, but layer 2 reads 3 inputs from 2 rows
+    data = {
+        "widths": [2, 2, 1],
+        "layers": [
+            {"rows": 2, "cols": 2, "triplets": [[0, 0, 1.0]], "bias": []},
+            {"rows": 1, "cols": 3, "triplets": [[0, 2, 1.0]], "bias": []},
+        ],
+    }
+    with pytest.raises(NetworkFormatError, match="layer 2: weight expects 3 inputs but receives 2"):
+        network_from_dict(data)
+
+
 def test_from_dict_rejects_malformed_triplet():
     data = {
         "widths": [1, 1],
@@ -278,7 +351,8 @@ def test_from_dict_records_duplicates_and_zeros_as_defects():
 
 
 @st.composite
-def small_nets(draw):
+def layer_stacks(draw):
+    """Layers from make_layer whose shapes chain, with the input width."""
     dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
     layers = []
     for rows, cols in zip(dims[1:], dims[:-1]):
@@ -299,7 +373,8 @@ def small_nets(draw):
             )
         )
         bias = draw(
-            st.lists(
+            st.none()
+            | st.lists(
                 st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
                 min_size=rows,
                 max_size=rows,
@@ -314,11 +389,17 @@ def small_nets(draw):
                 bias=bias,
             )
         )
+    return layers, dims[0]
+
+
+@st.composite
+def small_nets(draw):
+    layers, width = draw(layer_stacks())
     x = draw(
         st.lists(
             st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False),
-            min_size=dims[0],
-            max_size=dims[0],
+            min_size=width,
+            max_size=width,
         )
     )
     return ReluNetwork(layers), np.array(x)
@@ -332,3 +413,51 @@ def test_round_trip_is_lossless(case):
     assert back.load_defects == ()
     assert stats(back) == stats(net)
     assert np.array_equal(evaluate(back, x), evaluate(net, x))
+
+
+def _reference_evaluate(net, x):
+    """relu(W x + b) layer by layer through scipy's public sparse product."""
+    x = np.asarray(x, dtype=np.float64)
+    for k, layer in enumerate(net.layers):
+        z = layer.weight @ x + (layer.bias if x.ndim == 1 else layer.bias[:, None])
+        x = np.maximum(z, 0.0) if k < net.depth - 1 else z
+    return x
+
+
+# how a (width x 5) block of samples is handed to evaluate
+INPUT_FORMS = {
+    "vector": lambda a, k: a[:, 0],
+    "batch": lambda a, k: np.ascontiguousarray(a[:, :k]),
+    "fortran": lambda a, k: np.asfortranarray(a[:, :k]),
+    "column-sliced": lambda a, k: a[:, 1::2],
+    "list vector": lambda a, k: a[:, 0].tolist(),
+    "list batch": lambda a, k: a[:, :k].tolist(),
+    "integer vector": lambda a, k: np.rint(a[:, 0]).astype(np.int64),
+    "integer batch": lambda a, k: np.rint(a[:, :k]).astype(np.int64).tolist(),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    layer_stacks(),
+    st.data(),
+    st.integers(0, 5),
+    st.sampled_from(sorted(INPUT_FORMS)),
+)
+def test_evaluate_matches_public_sparse_product(stack, data, columns, form):
+    layers, width = stack
+    net = ReluNetwork(layers)
+    samples = np.array(
+        data.draw(
+            st.lists(
+                st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False),
+                min_size=5 * width,
+                max_size=5 * width,
+            )
+        )
+    ).reshape(width, 5)
+    x = INPUT_FORMS[form](samples, columns)
+    out = evaluate(net, x)
+    expected = _reference_evaluate(net, x)
+    assert out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
