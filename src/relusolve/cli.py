@@ -222,6 +222,8 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
     durations = {}
     net, meta, pattern, matrix, spec = _load_for_problem(args, durations)
     n = pattern.n
@@ -267,35 +269,24 @@ def cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
-def _parse_int_list(text: str):
+def _parse_list(text: str, kind, name: str):
     try:
-        return [int(part) for part in text.split(",") if part]
+        values = [kind(part) for part in text.split(",") if part]
     except ValueError:
-        raise ValueError(f"expected a comma-separated integer list, got {text!r}") from None
-
-
-def _parse_float_list(text: str):
-    try:
-        return [float(part) for part in text.split(",") if part]
-    except ValueError:
-        raise ValueError(f"expected a comma-separated float list, got {text!r}") from None
-
-
-def _parse_method_list(text: str):
-    methods = [part for part in text.split(",") if part]
-    if not methods:
-        raise ValueError("need at least one method")
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
-    return methods
+        raise ValueError(f"expected a comma-separated {name} list, got {text!r}") from None
+    if not values:
+        raise ValueError(f"need at least one {name}, got {text!r}")
+    return values
 
 
 def cmd_audit(args) -> int:
     t0 = time.perf_counter()
-    n_list = _parse_int_list(args.n)
-    eps_list = _parse_float_list(args.eps)
-    methods = _parse_method_list(args.method)
+    n_list = _parse_list(args.n, int, "integer")
+    eps_list = _parse_list(args.eps, float, "float")
+    methods = _parse_list(args.method, str, "method")
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
     rows = []
     for method in methods:
         for n in n_list:

@@ -6,16 +6,28 @@ Weight matrices are kept in canonical CSR form without explicit zeros, so the
 weight count of a layer is exactly the number of stored entries plus the
 number of nonzero bias components.
 
-evaluate runs one loop over the layers.  Each layer calls scipy's compiled
-CSR kernel (csr_matvec for a vector, csr_matvecs for a column batch, the
-kernels W @ x ends in) with arguments the Layer prepared once, writing into
-a fresh zero array.  A nonzero bias is added in place.  The output is
-screened with one sum, and scanned exactly only when that sum is not finite,
-so EvaluationFault names the first layer holding an inf or NaN, read later
-or not.  Hidden layers then apply the ReLU in place.  The kernels check no
+evaluate runs one loop over the layers, for a vector and for a column block
+alike.  Each layer calls scipy's compiled CSR kernel (csr_matvec for a
+vector, csr_matvecs for a block, the kernels W @ x ends in) on the arrays of
+[W | b], prepared by the layer on first use: each nonzero bias entry is the
+last stored entry of its row, at column cols, and every activation carries a
+trailing row of constant 1, so the kernel adds b * 1.0 after the row's
+weighted terms, the rounding of z + b.  The output goes to a fresh zero
+array and hidden layers then apply the ReLU in place.  A batch runs in
+blocks of _BLOCK_ENTRIES // (widest layer) columns, so each layer's input
+and output blocks stay in cache.
+
+EvaluationFault names the first layer whose output holds an inf or NaN,
+read later or not; over a batch, the smallest such layer over all blocks.
+The loop carries a bound on the activation's magnitude: each layer
+multiplies it by its largest row sum of |[W | b]|.  While the bound stays
+below _FINITE_BOUND no value can overflow, so the output is finite and is
+not screened.  Otherwise (always at the first layer) the output is screened
+with one sum, scanned exactly only when that sum is not finite, and the
+bound restarts from the ReLU output's maximum.  The kernels check no
 shapes, so a layer whose input count or bias length does not fit raises
-ValueError before its kernel call.  The result is bit for bit that of
-relu(W @ x + b) per layer.
+ValueError before its kernel call, unless a block faulted at an earlier
+layer.  The result is bit for bit that of relu(W @ x + b) per layer.
 
 On disk a network is JSON: the widths, per layer its shape, row-major
 [i, j, w] triplets and [i, b] pairs for the nonzero bias, and the metadata.
@@ -24,7 +36,8 @@ through make_layer, the check the builders use.  NetworkFormatError is raised
 for a missing field, a layer shape that is not two counts, an entry that is
 not a list of numbers of the right length, a non-integer or out-of-range
 index, a non-finite weight or bias, widths that disagree with the layers,
-or a layer whose input count differs from the previous layer's rows.
+a layer whose input count differs from the previous layer's rows, or
+metadata that is not a JSON object.
 Duplicate triplets, explicit zeros and duplicate bias indices are dropped
 (the first occurrence is kept) and recorded in load_defects, which
 validate() reports.
@@ -35,7 +48,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +91,7 @@ class Layer:
     through make_layer which is strict.
     """
 
-    __slots__ = ("weight", "bias", "kernel_args")
+    __slots__ = ("weight", "bias", "_kernel")
 
     def __init__(self, weight, bias=None):
         w = sp.csr_matrix(weight, dtype=np.float64)
@@ -93,9 +105,43 @@ class Layer:
         # freeze the buffers; networks are immutable after construction
         for arr in (w.data, w.indices, w.indptr, b):
             arr.flags.writeable = False
-        # the CSR kernel arguments of evaluate, prepared once per layer object
-        # (a network repeats one object at many positions); a zero bias is None
-        self.kernel_args = (*w.shape, w.indptr, w.indices, w.data, b if b.any() else None)
+        self._kernel = None
+
+    def kernel_args(self) -> tuple:
+        """(indptr, indices, data, gain): the CSR arrays of [W | b] evaluate runs.
+
+        Each nonzero bias entry is the last stored entry of its row, at
+        column cols, where every activation holds a constant 1.  gain is
+        the largest row sum of |[W | b]|, at least 1 (NaN for a NaN entry).
+        Prepared on first use and kept, so a layer object repeated across
+        positions is folded once and building or loading a network pays
+        nothing; a layer without a nonzero bias runs its own arrays.
+        """
+        if self._kernel is None:
+            w, b = self.weight, self.bias
+            kernel = (w.indptr, w.indices, w.data)
+            if b.any():
+                has = b != 0.0
+                indptr = w.indptr.copy()
+                indptr[1:] += np.cumsum(has, dtype=indptr.dtype)
+                ends = indptr[1:][has] - 1
+                is_weight = np.ones(indptr[-1], dtype=bool)
+                is_weight[ends] = False
+                indices = np.empty(indptr[-1], dtype=indptr.dtype)
+                indices[is_weight] = w.indices
+                indices[ends] = w.shape[1]
+                data = np.empty(indptr[-1])
+                data[is_weight] = w.data
+                data[ends] = b[has]
+                kernel = (indptr, indices, data)
+                for arr in kernel:
+                    arr.flags.writeable = False
+            indptr, _, data = kernel
+            row_of = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+            row_sums = np.bincount(row_of, weights=np.abs(data), minlength=len(indptr) - 1)
+            # np.max keeps a NaN, where max(1.0, nan) would drop it
+            self._kernel = (*kernel, float(row_sums.max(initial=1.0)))
+        return self._kernel
 
     @property
     def rows(self) -> int:
@@ -170,44 +216,105 @@ class ReluNetwork:
         return f"ReluNetwork(depth={self.depth}, widths={self.input_dim}->{self.output_dim})"
 
 
+# entries of one activation block: a batch runs in blocks of this many
+# entries over the widest layer's rows in columns, so that a layer's input
+# and output blocks (8 bytes an entry) stay within about 1 MB of cache
+_BLOCK_ENTRIES = 2**16
+
+# a layer fed finite values of magnitude at most x, with row sums of
+# |[W | b]| at most gain, computes values of magnitude at most gain * x times
+# (1 + 2**-53)**(2 * terms in a row), far below 2 for any row that fits in
+# memory; so when gain * x < 2**1000 no value can overflow, the output is
+# finite and evaluate skips its screen
+_FINITE_BOUND = 2.0**1000
+
+
 def evaluate(net: ReluNetwork, x) -> np.ndarray:
     """Run the network on a vector, or on a (N0 x batch) matrix of columns.
 
     Raises ValueError when a layer cannot read the values it receives and
-    EvaluationFault at the first layer whose output is not finite.
+    EvaluationFault at the first layer whose output is not finite; for a
+    batch, at the first such layer over all columns.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError("input must be a vector or a matrix of column samples")
-    # the CSR kernels read raw row-major buffers and check no shapes
-    x = np.ascontiguousarray(x)
+    if x.ndim == 1:
+        out, failure = _forward(net.layers, x, net.depth)
+        if failure is not None:
+            raise failure[1]
+        return out
+    batch = x.shape[1]
+    step = max(1, _BLOCK_ENTRIES // max(net.widths))
+    out = np.empty((net.output_dim, batch))
+    failure = None
+    stop = net.depth
+    # every block runs, but only up to the layer before the first failure
+    # so far; the failure with the smallest layer index is the whole batch's
+    for start in range(0, max(batch, 1), step):
+        block, fail = _forward(net.layers, x[:, start:start + step], stop)
+        if fail is not None:
+            failure, stop = fail, fail[0] - 1
+        elif failure is None:
+            out[:, start:start + step] = block
+    if failure is not None:
+        raise failure[1]
+    return out
+
+
+def _forward(layers, x, stop):
+    """Run layers[:stop] on a vector or a column block.
+
+    Return (output, None), or (None, (index, error)) at the first layer
+    that cannot read its input or whose output is not finite.  Every
+    activation carries a trailing row of ones for the bias column of the
+    kernel arrays; the output has none.
+    """
     batch = x.shape[1:]
-    last = net.depth
+    n = x.shape[0]
+    z = np.empty((n + 1,) + batch)
+    z[:n] = x
+    z[n] = 1.0
+    last = len(layers)
+    # bound on the magnitude of the activation's entries, ones row included;
+    # unknown for the input
+    bound = math.inf
     # the screen's sum may overflow on finite values; that is not a fault
     with np.errstate(over="ignore", invalid="ignore"):
-        for idx, layer in enumerate(net.layers, start=1):
-            rows, cols, indptr, indices, data, bias = layer.kernel_args
-            if cols != x.shape[0]:
-                raise ValueError(_input_mismatch(idx, cols, x.shape[0]))
+        for idx, layer in enumerate(layers[:stop], start=1):
+            rows, cols = layer.weight.shape
+            # the CSR kernels read raw buffers and check no shapes
+            if cols != n:
+                return None, (idx, ValueError(_input_mismatch(idx, cols, n)))
             if layer.bias.shape[0] != rows:
-                raise ValueError(_bias_mismatch(idx, layer))
-            z = np.zeros((rows,) + batch)
+                return None, (idx, ValueError(_bias_mismatch(idx, layer)))
+            indptr, indices, data, gain = layer._kernel or layer.kernel_args()
+            x, n = z, rows
+            hidden = idx < last
+            z = np.zeros((rows + hidden,) + batch)
+            if hidden:
+                z[rows] = 1.0
+            # the kernel adds b * 1.0 after the row's weighted terms, the
+            # same rounding as z + b; it sums from +0.0 and never yields
+            # -0.0, so a zero bias left out changes no output bit
             if batch:
-                _sparsetools.csr_matvecs(rows, cols, batch[0], indptr, indices, data, x, z)
+                _sparsetools.csr_matvecs(rows, cols + 1, batch[0], indptr, indices, data, x, z)
             else:
-                _sparsetools.csr_matvec(rows, cols, indptr, indices, data, x, z)
-            # the kernels sum from +0.0 and never yield -0.0, so skipping a
-            # zero bias leaves every output bit as z + 0.0 would
-            if bias is not None:
-                z += bias[:, None] if batch else bias
-            # any inf or NaN makes the sum non-finite; the exact scan runs
-            # only then, so a finite layer whose sum overflows still passes
-            if not math.isfinite(z.sum()) and not np.isfinite(z).all():
-                raise EvaluationFault(idx, "non-finite value in layer output")
-            if idx < last:
+                _sparsetools.csr_matvec(rows, cols + 1, indptr, indices, data, x, z)
+            bound *= gain
+            # past the bound (or when it is NaN) screen the output: any inf or
+            # NaN makes the sum non-finite, and the exact scan runs only then,
+            # so a finite layer whose sum overflows still passes
+            screened = not bound < _FINITE_BOUND
+            if screened and not math.isfinite(z.sum()) and not np.isfinite(z).all():
+                fault = EvaluationFault(idx, "non-finite value in layer output")
+                return None, (idx, fault)
+            if hidden:
+                # the ones row stays 1 under the ReLU
                 np.maximum(z, 0.0, out=z)
-            x = z
-    return x
+                if screened:
+                    bound = float(z.max(initial=1.0))
+    return z, None
 
 
 @dataclass(frozen=True)
@@ -353,7 +460,10 @@ def network_from_dict(data: dict) -> ReluNetwork:
     for idx, (prev, layer) in enumerate(zip(layers, layers[1:]), start=2):
         if layer.cols != prev.rows:
             raise NetworkFormatError(_input_mismatch(idx, layer.cols, prev.rows))
-    net = ReluNetwork(layers, metadata=data.get("metadata"), load_defects=defects)
+    metadata = data.get("metadata")
+    if metadata is not None and not isinstance(metadata, dict):
+        raise NetworkFormatError(f"metadata is not a JSON object: {metadata!r:.60}")
+    net = ReluNetwork(layers, metadata=metadata, load_defects=defects)
     if list(net.widths) != widths:
         raise NetworkFormatError(
             f"widths field {widths} disagrees with layer shapes {list(net.widths)}"
@@ -362,9 +472,14 @@ def network_from_dict(data: dict) -> ReluNetwork:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path through a temp file in the same directory + rename."""
+    """Write text to path through a temp file in the same directory + rename.
+
+    The file gets the mode open(path, "w") gives a new file: 0o666 less the
+    umask (a tempfile.mkstemp file would stay 0o600).
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f".{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

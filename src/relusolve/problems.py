@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import SparseMatrix, SparsityPattern
+from .network import atomic_write_text
 from .solvers import SpectralClass
 
 __all__ = [
@@ -195,8 +196,7 @@ def write_coo(path, matrix: SparseMatrix) -> None:
     lines = [f"{matrix.pattern.n} {matrix.pattern.eta}"]
     for p, (i, j) in enumerate(matrix.pattern.positions()):
         lines.append(f"{i + 1} {j + 1} {float(matrix.values[p])!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_coo(path) -> SparseMatrix:

@@ -118,6 +118,24 @@ def test_verify_rejects_broken_shape_chain_as_format_error(capsys, tmp_path):
     assert "layer 2: weight expects" in err
 
 
+@pytest.mark.parametrize("metadata", [7, [1, 2], "text"])
+def test_verify_rejects_metadata_that_is_not_an_object(capsys, tmp_path, metadata):
+    path, _ = build_small_net(capsys, tmp_path)
+    data = json.loads(path.read_text())
+    data["metadata"] = metadata
+    path.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, "verify", "--net", str(path), "--n", "8")
+    assert rc == 3
+    assert "metadata is not a JSON object" in err
+
+
+def test_verify_rejects_negative_sample_count(capsys, tmp_path):
+    path, _ = build_small_net(capsys, tmp_path)
+    rc, out, err = run_cli(capsys, "verify", "--net", str(path), "--n", "8", "--samples", "-3")
+    assert rc == 2 and out == ""
+    assert "--samples must be >= 0" in err
+
+
 def test_verify_rejects_mismatched_problem_size(capsys, tmp_path):
     path, _ = build_small_net(capsys, tmp_path)
     rc, out, err = run_cli(
@@ -248,6 +266,15 @@ def test_audit_accepts_method_lists(capsys, tmp_path):
     assert [row["method"] for row in rows] == ["richardson", "cg"]
     rc, out, err = run_cli(capsys, "audit", "--n", "8", "--eps", "0.5", "--method", "sor")
     assert rc == 2 and "unknown method" in err
+
+
+@pytest.mark.parametrize("flag,name", [("--n", "integer"), ("--eps", "float"), ("--method", "method")])
+@pytest.mark.parametrize("value", ["", ","])
+def test_audit_rejects_empty_lists(capsys, flag, name, value):
+    argv = {"--n": "8", "--eps": "0.5", "--method": "cg", flag: value}
+    rc, out, err = run_cli(capsys, "audit", *[a for kv in argv.items() for a in kv])
+    assert rc == 2 and out == ""
+    assert f"need at least one {name}" in err
 
 
 def test_audit_json_report(capsys):

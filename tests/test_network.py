@@ -2,6 +2,7 @@
 
 import hashlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relusolve import network
 from relusolve.network import (
     EvaluationFault,
     Layer,
@@ -96,9 +98,16 @@ def test_evaluate_rejects_bad_inputs():
         evaluate(net, np.zeros((2, 2, 2)))
 
 
-@pytest.mark.parametrize("batch", [False, True])
-def test_evaluate_rejects_layers_that_do_not_fit(batch):
+def one_column_blocks():
+    """Run every batch column as its own block."""
+    return mock.patch.object(network, "_BLOCK_ENTRIES", 1)
+
+
+@pytest.mark.parametrize("batch", [False, True, "blocks"])
+def test_evaluate_rejects_layers_that_do_not_fit(batch, monkeypatch):
     # Layer is permissive; evaluate must refuse before a kernel reads past a buffer
+    if batch == "blocks":
+        monkeypatch.setattr(network, "_BLOCK_ENTRIES", 1)
     x = np.ones((3, 4)) if batch else np.ones(3)
     broken_chain = ReluNetwork([Layer(sp.csr_matrix((2, 3))), Layer(sp.csr_matrix((1, 3)))])
     with pytest.raises(ValueError, match="layer 2: weight expects 3 inputs but receives 2"):
@@ -151,8 +160,108 @@ def test_evaluate_passes_finite_layers_whose_sum_overflows():
         warnings.simplefilter("error")
         out = evaluate(net, [1e308])
         batch = evaluate(net, np.array([[1.0, 1e308]]))
+        with one_column_blocks():
+            blocks = evaluate(net, np.array([[1e308, 1.0, 1e308]]))
     assert out.tolist() == [1.5e308, 1.5e308]
     assert batch.tolist() == [[1.5, 1.5e308], [1.5, 1.5e308]]
+    assert blocks.tolist() == [[1.5e308, 1.5, 1.5e308]] * 2
+
+
+def _doubling_net(bias_rows=1):
+    """x -> 2x -> 4x over four 1x1 layers; layer 3's bias has bias_rows entries.
+
+    On one column, 1e308 overflows at layer 2 and 6e307 at layer 3.
+    """
+    one = make_layer((1, 1), [0], [0], [1.0])
+    two = make_layer((1, 1), [0], [0], [2.0])
+    return ReluNetwork([one, two, Layer(two.weight, np.zeros(bias_rows)), one])
+
+
+@pytest.mark.parametrize("columns", [[6e307, 1e308], [1e308, 6e307], [6e307, 1.0, 1e308]])
+def test_blocked_batch_raises_the_first_faulting_layer_over_all_blocks(columns):
+    net = _doubling_net()
+    x = np.array([columns])
+    with pytest.raises(EvaluationFault) as whole:
+        evaluate(net, x)
+    with one_column_blocks(), pytest.raises(EvaluationFault) as blocks:
+        evaluate(net, x)
+    assert whole.value.layer_index == blocks.value.layer_index == 2
+    with one_column_blocks(), pytest.raises(EvaluationFault) as later:
+        evaluate(net, np.array([[1.0, 6e307]]))
+    assert later.value.layer_index == 3
+
+
+def test_blocked_batch_orders_shape_errors_and_faults_by_layer():
+    # layer 3 cannot take its bias; a fault at layer 2 in any block comes first
+    net = _doubling_net(bias_rows=2)
+    with one_column_blocks():
+        with pytest.raises(ValueError, match="layer 3: bias length 2"):
+            evaluate(net, np.array([[1.0, 6e307]]))
+        with pytest.raises(EvaluationFault) as exc:
+            evaluate(net, np.array([[1.0, 2.0, 1e308]]))
+    assert exc.value.layer_index == 2
+
+
+def test_signed_zero_and_nonzero_bias_match_reference_bytes():
+    # rows without weights, rows whose terms cancel, bias +0.0, -0.0 and nonzero
+    weight = sp.csr_matrix(np.array([[0.0, 0.0], [1.0, -1.0], [2.0, 0.5], [0.0, 0.0], [1.0, -1.0]]))
+    for bias in ([0.0, -0.0, 0.25, -1.5, -0.0], [-0.0] * 5, [0.0, 3.0, -0.0, -0.0, 0.0]):
+        net = ReluNetwork([Layer(weight, bias), Layer(sp.eye(5, format="csr"), bias)])
+        x = np.array([[1.0, -2.0, 0.0, -0.0], [1.0, 3.0, -0.0, 0.0]])
+        expected = _reference_evaluate(net, x)
+        assert evaluate(net, x).tobytes() == expected.tobytes()
+        with one_column_blocks():
+            assert evaluate(net, x).tobytes() == expected.tobytes()
+        for k in range(x.shape[1]):
+            assert evaluate(net, x[:, k]).tobytes() == expected[:, k].tobytes()
+
+
+def test_kernel_args_fold_the_bias_into_a_last_column():
+    layer = make_layer((2, 2), [0, 1], [1, 0], [3.0, 4.0])
+    indptr, indices, data, gain = layer.kernel_args()
+    w = layer.weight
+    # a bias-free layer runs its own arrays
+    assert indptr is w.indptr and indices is w.indices and data is w.data
+    assert gain == 4.0
+    biased = make_layer((2, 2), [0, 1], [1, 0], [0.25, 4.0], bias=[0.5, -2.0])
+    indptr, indices, data, gain = biased.kernel_args()
+    # each bias entry is the last stored entry of its row, at column cols
+    assert indptr.tolist() == [0, 2, 4]
+    assert indices.tolist() == [1, 2, 0, 2]
+    assert data.tolist() == [0.25, 0.5, 4.0, -2.0]
+    assert gain == 6.0
+    assert biased.kernel_args() is biased.kernel_args()
+    assert make_layer((2, 2), [0], [0], [0.5]).kernel_args()[3] == 1.0
+    assert make_layer((2, 2), [], [], []).kernel_args()[3] == 1.0
+    assert np.isnan(Layer(sp.csr_matrix([[1.0, np.nan]])).kernel_args()[3])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_evaluate_screens_layers_with_non_finite_weights(bad):
+    # Layer is permissive: a non-finite weight must not pass as a small gain
+    one = make_layer((1, 1), [0], [0], [1.0])
+    net = ReluNetwork([one, Layer(sp.csr_matrix([[bad]])), one])
+    for x in ([1.0], [[1.0, 2.0]]):
+        with pytest.raises(EvaluationFault) as exc:
+            evaluate(net, np.array(x))
+        assert exc.value.layer_index == 2
+
+
+def test_long_chain_faults_at_the_layer_that_overflows():
+    # x -> 2x, 1030 times: 2**k overflows at layer k = 1024, where the
+    # bound that lets evaluate skip the screen is long exceeded
+    double = make_layer((1, 1), [0], [0], [2.0])
+    net = ReluNetwork([double] * 1030)
+    for x, layer in (([1.0], 1024), ([0.5], 1025), ([[1.0, 0.5]], 1024), ([[0.5, 1.0]], 1024)):
+        with pytest.raises(EvaluationFault) as exc:
+            evaluate(net, np.array(x))
+        assert exc.value.layer_index == layer
+    assert evaluate(net, [2.0**-1040]).tolist() == [2.0**-10]
+    # one channel of the last layer overflows, the other does not
+    tail = make_layer((2, 1), [0, 1], [0, 0], [1.0, 2.0**30])
+    with pytest.raises(EvaluationFault) as exc:
+        evaluate(ReluNetwork([double] * 1020 + [tail]), [2.0**-20])
+    assert exc.value.layer_index == 1021
 
 
 def test_evaluate_raises_on_overflow():
@@ -250,6 +359,16 @@ def test_from_dict_missing_fields():
         network_from_dict({"widths": [1, 1]})
     with pytest.raises(NetworkFormatError, match="no layers"):
         network_from_dict({"widths": [1], "layers": []})
+
+
+@pytest.mark.parametrize("metadata", [3, [1, 2], "text"])
+def test_from_dict_rejects_metadata_that_is_not_an_object(metadata):
+    data = network_to_dict(ReluNetwork([make_layer((1, 1), [0], [0], [1.0])]))
+    data["metadata"] = metadata
+    with pytest.raises(NetworkFormatError, match="metadata is not a JSON object"):
+        network_from_dict(data)
+    data["metadata"] = None
+    assert network_from_dict(data).metadata is None
 
 
 def test_from_dict_widths_disagreement():
@@ -443,8 +562,10 @@ INPUT_FORMS = {
     st.data(),
     st.integers(0, 5),
     st.sampled_from(sorted(INPUT_FORMS)),
+    # the default, one column per block, and blocks of 1 to 4 columns
+    st.sampled_from([None, 1, 4]),
 )
-def test_evaluate_matches_public_sparse_product(stack, data, columns, form):
+def test_evaluate_matches_public_sparse_product(stack, data, columns, form, block_entries):
     layers, width = stack
     net = ReluNetwork(layers)
     samples = np.array(
@@ -457,7 +578,46 @@ def test_evaluate_matches_public_sparse_product(stack, data, columns, form):
         )
     ).reshape(width, 5)
     x = INPUT_FORMS[form](samples, columns)
-    out = evaluate(net, x)
+    with mock.patch.object(network, "_BLOCK_ENTRIES", block_entries or network._BLOCK_ENTRIES):
+        out = evaluate(net, x)
     expected = _reference_evaluate(net, x)
     assert out.shape == expected.shape
     assert out.tobytes() == expected.tobytes()
+
+
+def _reference_fault(net, x):
+    """Index of the first layer of _reference_evaluate with a non-finite output."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, layer in enumerate(net.layers, start=1):
+            z = layer.weight @ x + (layer.bias if x.ndim == 1 else layer.bias[:, None])
+            if not np.isfinite(z).all():
+                return k
+            x = np.maximum(z, 0.0)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    layer_stacks(),
+    st.data(),
+    st.integers(0, 4),
+    st.sampled_from([None, 1]),
+)
+def test_evaluate_faults_where_the_reference_turns_non_finite(stack, data, columns, block_entries):
+    """Huge, infinite and NaN inputs: the same fault layer, or the same bytes."""
+    layers, width = stack
+    net = ReluNetwork(layers)
+    huge = st.floats(1e300, 1e308) | st.floats(-1e308, -1e300)
+    values = st.floats(-5.0, 5.0) | huge | st.sampled_from([np.inf, -np.inf, np.nan])
+    shape = (width, columns) if columns else (width,)
+    x = np.array(data.draw(st.lists(values, min_size=width * max(columns, 1),
+                                    max_size=width * max(columns, 1)))).reshape(shape)
+    expected = _reference_fault(net, x)
+    with mock.patch.object(network, "_BLOCK_ENTRIES", block_entries or network._BLOCK_ENTRIES):
+        if expected is None:
+            assert evaluate(net, x).tobytes() == _reference_evaluate(net, x).tobytes()
+        else:
+            with pytest.raises(EvaluationFault) as exc:
+                evaluate(net, x)
+            assert exc.value.layer_index == expected

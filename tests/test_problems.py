@@ -1,6 +1,7 @@
 """Benchmark generators, spectral estimation, and the COO text format."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -137,6 +138,27 @@ def test_coo_round_trip_is_exact(tmp_path):
     back = read_coo(path)
     assert back.pattern == fem.pattern
     assert np.array_equal(back.values, fem.matrix.values)
+
+
+def test_coo_writer_replaces_the_file_atomically(tmp_path, monkeypatch):
+    fem = gen_laplacian(1, 2)
+    path = tmp_path / "a.coo"
+    write_coo(path, fem.matrix)
+    assert path.read_text() == "2 4\n1 1 2.0\n1 2 -1.0\n2 1 -1.0\n2 2 2.0\n"
+    # the mode a plain open() gives a new file
+    (tmp_path / "plain").write_text("")
+    assert path.stat().st_mode == (tmp_path / "plain").stat().st_mode
+    (tmp_path / "plain").unlink()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    # a write that fails before the rename leaves the old file and no temp file
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_coo(path, gen_laplacian(1, 3).matrix)
+    assert path.read_text().startswith("2 4\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["a.coo"]
 
 
 def test_coo_accepts_comments_and_blank_lines(tmp_path):
