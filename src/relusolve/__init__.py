@@ -41,7 +41,6 @@ from .network import (
     make_layer,
     save_network,
     stats,
-    validate,
 )
 from .problems import (
     CooFormatError,
@@ -109,6 +108,5 @@ __all__ = [
     "solve_exact",
     "sparse_matvec_net",
     "stats",
-    "validate",
     "write_coo",
 ]

@@ -23,7 +23,7 @@ from .arithmetic import SparseMatrix
 from .network import (
     EvaluationFault,
     NetworkFormatError,
-    atomic_write_text,
+    atomic_write,
     evaluate,
     load_network,
     save_network,
@@ -56,7 +56,7 @@ EIG_FOLD = 10.0 * EIG_TOL
 def _emit_report(report: dict, out_path=None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
-        atomic_write_text(out_path, text)
+        atomic_write(out_path, text.encode())
     else:
         sys.stdout.write(text)
 
@@ -203,7 +203,7 @@ def cmd_eval(args) -> int:
     out = evaluate(net, np.concatenate([matrix.values, r]))
     durations["eval_s"] = time.perf_counter() - t_eval
     if args.out:
-        atomic_write_text(args.out, "\n".join(repr(float(v)) for v in out) + "\n")
+        atomic_write(args.out, ("\n".join(repr(float(v)) for v in out) + "\n").encode())
     report = {
         "command": "eval",
         "version": __version__,
@@ -326,7 +326,7 @@ def cmd_audit(args) -> int:
         writer.writerows(rows)
         text = buf.getvalue()
         if args.out:
-            atomic_write_text(args.out, text)
+            atomic_write(args.out, text.encode())
         else:
             sys.stdout.write(text)
     else:
@@ -372,23 +372,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True, help="COO output path")
 
-    p_build = subs.add_parser("build", help="build a solver network and save it as JSON")
+    p_build = subs.add_parser("build", help="build a solver network and save it as .npz")
     p_build.add_argument("--method", required=True, choices=["richardson", "cg"])
     _add_problem_flags(p_build)
     p_build.add_argument("--eps", type=float, default=0.1, help="target accuracy in (0,1)")
     p_build.add_argument("--c-sc", type=float, default=1.0, help="rhs scale bound (>= 1)")
     p_build.add_argument("--seed", type=int, default=0)
-    p_build.add_argument("--out", required=True, help="network JSON output path")
+    p_build.add_argument("--out", required=True, help="network .npz output path")
 
     p_eval = subs.add_parser("eval", help="run one forward pass of a built network")
-    p_eval.add_argument("--net", required=True, help="network JSON path")
+    p_eval.add_argument("--net", required=True, help="network .npz path")
     _add_problem_flags(p_eval)
     p_eval.add_argument("--rhs", default=None, help="text file with one rhs entry per line")
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--out", default=None, help="write the output vector here")
 
     p_verify = subs.add_parser("verify", help="sample admissible inputs and check the accuracy contract")
-    p_verify.add_argument("--net", required=True, help="network JSON path")
+    p_verify.add_argument("--net", required=True, help="network .npz path")
     _add_problem_flags(p_verify)
     p_verify.add_argument("--samples", type=int, default=20)
     p_verify.add_argument("--seed", type=int, default=0)

@@ -12,10 +12,11 @@ vector, csr_matvecs for a block, the kernels W @ x ends in) on the arrays of
 [W | b], prepared by the layer on first use: each nonzero bias entry is the
 last stored entry of its row, at column cols, and every activation carries a
 trailing row of constant 1, so the kernel adds b * 1.0 after the row's
-weighted terms, the rounding of z + b.  The output goes to a fresh zero
-array and hidden layers then apply the ReLU in place.  A batch runs in
-blocks of _BLOCK_ENTRIES // (widest layer) columns, so each layer's input
-and output blocks stay in cache.
+weighted terms, the rounding of z + b.  The output goes to a zero array
+(for a block, one of two buffers that alternate by layer) and hidden layers
+then apply the ReLU in place.  A batch runs in blocks of
+_BLOCK_ENTRIES // (widest layer) columns, so each layer's input and output
+blocks stay in cache.
 
 EvaluationFault names the first layer whose output holds an inf or NaN,
 read later or not; over a batch, the smallest such layer over all blocks.
@@ -29,25 +30,23 @@ shapes, so a layer whose input count or bias length does not fit raises
 ValueError before its kernel call, unless a block faulted at an earlier
 layer.  The result is bit for bit that of relu(W @ x + b) per layer.
 
-On disk a network is JSON: the widths, per layer its shape, row-major
-[i, j, w] triplets and [i, b] pairs for the nonzero bias, and the metadata.
-A layer object repeated across positions is encoded once.  Decoding goes
-through make_layer, the check the builders use.  NetworkFormatError is raised
-for a missing field, a layer shape that is not two counts, an entry that is
-not a list of numbers of the right length, a non-integer or out-of-range
-index, a non-finite weight or bias, widths that disagree with the layers,
-a layer whose input count differs from the previous layer's rows, or
-metadata that is not a JSON object.
-Duplicate triplets, explicit zeros and duplicate bias indices are dropped
-(the first occurrence is kept) and recorded in load_defects, which
-validate() reports.
+On disk a network is an .npz archive that keeps its sharing: shapes, a
+(T, 2) array, and the concatenated CSR arrays indptr, indices, data and
+dense bias of its T distinct layer objects in order of first appearance;
+program, the table index of each position; and metadata, JSON text in a
+0-d string array.  Loading checks each table entry once, its indptr and
+then make_layer, the builders' check, so a stored zero is an error.  Any
+defect, from a file that is no .npz archive to a broken shape chain, raises
+NetworkFormatError.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +66,6 @@ __all__ = [
     "network_to_dict",
     "save_network",
     "stats",
-    "validate",
 ]
 
 
@@ -86,9 +84,9 @@ class EvaluationFault(RuntimeError):
 class Layer:
     """One affine layer W x + b with sparse W and dense b.
 
-    The constructor is permissive (wrong shapes and non-finite entries are
-    representable) so that validate() has something to report; builders go
-    through make_layer which is strict.
+    The constructor is permissive: wrong shapes and non-finite entries are
+    representable, and evaluate checks shapes before each layer runs.
+    Builders and the file loader go through make_layer, which is strict.
     """
 
     __slots__ = ("weight", "bias", "_kernel")
@@ -186,15 +184,14 @@ def make_layer(shape, rows, cols, vals, bias=None) -> Layer:
 class ReluNetwork:
     """Immutable list of layers, with optional metadata carried to disk."""
 
-    __slots__ = ("layers", "metadata", "load_defects")
+    __slots__ = ("layers", "metadata")
 
-    def __init__(self, layers, metadata=None, load_defects=()):
+    def __init__(self, layers, metadata=None):
         layers = tuple(layers)
         if not layers:
             raise ValueError("a network needs at least one layer")
         self.layers = layers
         self.metadata = dict(metadata) if metadata is not None else None
-        self.load_defects = tuple(load_defects)
 
     @property
     def depth(self) -> int:
@@ -275,6 +272,10 @@ def _forward(layers, x, stop):
     z = np.empty((n + 1,) + batch)
     z[:n] = x
     z[n] = 1.0
+    # a block's layer outputs alternate between two buffers, grown only for a
+    # layer wider than any before: a fresh large array per layer can cost more
+    # than the layer when the allocator maps new pages for it
+    out, spare = np.empty((0,) + batch), z
     last = len(layers)
     # bound on the magnitude of the activation's entries, ones row included;
     # unknown for the input
@@ -287,20 +288,27 @@ def _forward(layers, x, stop):
             if cols != n:
                 return None, (idx, ValueError(_input_mismatch(idx, cols, n)))
             if layer.bias.shape[0] != rows:
-                return None, (idx, ValueError(_bias_mismatch(idx, layer)))
+                message = f"layer {idx}: bias length {layer.bias.shape[0]} does not match {rows} rows"
+                return None, (idx, ValueError(message))
             indptr, indices, data, gain = layer._kernel or layer.kernel_args()
             x, n = z, rows
             hidden = idx < last
-            z = np.zeros((rows + hidden,) + batch)
-            if hidden:
-                z[rows] = 1.0
             # the kernel adds b * 1.0 after the row's weighted terms, the
             # same rounding as z + b; it sums from +0.0 and never yields
             # -0.0, so a zero bias left out changes no output bit
             if batch:
+                if len(out) <= rows:
+                    out = np.empty((rows + 1,) + batch)
+                z = out[:rows + hidden]
+                # +0.0 is all zero bytes, and a byte fill runs at memset speed
+                z.view(np.uint8).fill(0)
+                out, spare = spare, out
                 _sparsetools.csr_matvecs(rows, cols + 1, batch[0], indptr, indices, data, x, z)
             else:
+                z = np.zeros(rows + hidden)
                 _sparsetools.csr_matvec(rows, cols + 1, indptr, indices, data, x, z)
+            if hidden:
+                z[rows] = 1.0
             bound *= gain
             # past the bound (or when it is NaN) screen the output: any inf or
             # NaN makes the sum non-finite, and the exact scan runs only then,
@@ -346,143 +354,131 @@ def _input_mismatch(idx: int, cols: int, inputs: int) -> str:
     return f"layer {idx}: weight expects {cols} inputs but receives {inputs}"
 
 
-def _bias_mismatch(idx: int, layer: Layer) -> str:
-    return f"layer {idx}: bias length {layer.bias.shape[0]} does not match {layer.rows} rows"
 
-
-def validate(net: ReluNetwork) -> list:
-    """Return a list of structural defects (empty means well-formed)."""
-    defects = list(net.load_defects)
-    prev_rows = net.layers[0].cols
-    for idx, layer in enumerate(net.layers, start=1):
-        if layer.cols != prev_rows:
-            defects.append(_input_mismatch(idx, layer.cols, prev_rows))
-        prev_rows = layer.rows
-        if layer.bias.shape[0] != layer.rows:
-            defects.append(_bias_mismatch(idx, layer))
-        if layer.weight.nnz and not np.all(np.isfinite(layer.weight.data)):
-            defects.append(f"layer {idx}: non-finite weight entry")
-        if not np.all(np.isfinite(layer.bias)):
-            defects.append(f"layer {idx}: non-finite bias entry")
-    return defects
-
-
-def _layer_to_dict(layer: Layer) -> dict:
-    # canonical CSR (sorted indices) already lists the triplets row-major
-    w = layer.weight
-    rows = np.repeat(np.arange(layer.rows), np.diff(w.indptr))
-    nonzero = np.flatnonzero(layer.bias)
-    return {
-        "rows": layer.rows,
-        "cols": layer.cols,
-        "triplets": list(map(list, zip(rows.tolist(), w.indices.tolist(), w.data.tolist()))),
-        "bias": list(map(list, zip(nonzero.tolist(), layer.bias[nonzero].tolist()))),
-    }
 
 
 def network_to_dict(net: ReluNetwork) -> dict:
-    """JSON-ready dict; a repeated layer is encoded once and its dict shared."""
-    encoded = {}
-    layers = []
-    for layer in net.layers:
-        if id(layer) not in encoded:
-            encoded[id(layer)] = _layer_to_dict(layer)
-        layers.append(encoded[id(layer)])
-    out = {"widths": list(net.widths), "layers": layers}
-    if net.metadata is not None:
-        out["metadata"] = net.metadata
-    return out
+    """The arrays of the file: each distinct layer object once, plus the program.
 
-
-def _decode_entries(items, width: int, idx: int, what: str):
-    """(indices, values, first occurrence mask) of [index..., value] entries.
-
-    Each entry must hold `width` numbers and integer indices; ranges are not checked.
+    The table lists the layer objects in order of first appearance; program
+    holds each position's table index, so the sharing survives a round trip.
     """
-    try:
-        table = np.array(items, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise NetworkFormatError(f"layer {idx}: malformed {what}s ({exc})") from exc
-    if table.shape == (0,):
-        table = table.reshape(0, width)
-    if table.ndim != 2 or table.shape[1] != width:
-        raise NetworkFormatError(f"layer {idx}: malformed {what}s (each needs {width} numbers)")
-    index = table[:, :-1]
-    bad = ~((np.floor(index) == index) & (np.abs(index) < 2.0**53)).all(axis=1)
-    if bad.any():
-        entry = items[int(np.argmax(bad))]
-        raise NetworkFormatError(f"layer {idx}: malformed {what} {entry!r} (non-integer index)")
-    index = index.astype(np.int64)
-    first = np.zeros(len(table), dtype=bool)
-    first[np.unique(index, axis=0, return_index=True)[1]] = True
-    return index, table[:, -1], first
+    table = list({id(layer): layer for layer in net.layers}.values())
+    slot = {id(layer): k for k, layer in enumerate(table)}
+    weights = [layer.weight for layer in table]
+    arrays = {
+        "shapes": np.array([w.shape for w in weights], dtype=np.int64),
+        "indptr": np.concatenate([w.indptr for w in weights]).astype(np.int64),
+        "indices": np.concatenate([w.indices for w in weights]).astype(np.int64),
+        "data": np.concatenate([w.data for w in weights]),
+        "bias": np.concatenate([layer.bias for layer in table]),
+        "program": np.array([slot[id(layer)] for layer in net.layers], dtype=np.int64),
+    }
+    if net.metadata is not None:
+        arrays["metadata"] = np.array(json.dumps(net.metadata))
+    return arrays
 
 
-def _decode_layer(idx: int, entry, defects: list) -> Layer:
+def _array(mapping, name: str, kind, ndim: int) -> np.ndarray:
+    """mapping[name], which must be an ndim-d array of a dtype under kind."""
     try:
-        shape = (int(entry["rows"]), int(entry["cols"]))
-        triplets = entry["triplets"]
-        bias_pairs = entry["bias"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise NetworkFormatError(f"layer {idx}: malformed entry ({exc})") from exc
-    if min(shape) < 0 or (entry["rows"], entry["cols"]) != shape:
-        raise NetworkFormatError(f"layer {idx}: malformed entry (shape is not two counts)")
-    ij, vals, first = _decode_entries(triplets, 3, idx, "triplet")
-    for k in np.flatnonzero(~first | (vals == 0.0)):
-        kind = "explicit zero stored at" if first[k] else "duplicate triplet"
-        defects.append(f"layer {idx}: {kind} ({ij[k, 0]}, {ij[k, 1]})")
-    bias_index, bias_vals, bias_first = _decode_entries(bias_pairs, 2, idx, "bias pair")
-    bias_index = bias_index[:, 0]
-    outside = (bias_index < 0) | (bias_index >= shape[0])
-    if outside.any():
-        i = bias_index[np.argmax(outside)]
-        raise NetworkFormatError(f"layer {idx}: bias index {i} out of range")
-    defects.extend(f"layer {idx}: duplicate bias index {i}" for i in bias_index[~bias_first])
-    bias = np.zeros(shape[0])
-    bias[bias_index[bias_first]] = bias_vals[bias_first]
-    try:
-        return make_layer(shape, ij[first, 0], ij[first, 1], vals[first], bias)
-    except ValueError as exc:
-        raise NetworkFormatError(f"layer {idx}: {exc}") from exc
-
-
-def network_from_dict(data: dict) -> ReluNetwork:
-    """Decode network_to_dict output; see the module docstring for defects."""
-    try:
-        widths = list(data["widths"])
-        raw_layers = data["layers"]
-    except (KeyError, TypeError) as exc:
-        raise NetworkFormatError(f"missing network field: {exc}") from exc
-    if not raw_layers:
-        raise NetworkFormatError("network has no layers")
-    defects = []
-    layers = [_decode_layer(idx, entry, defects) for idx, entry in enumerate(raw_layers, start=1)]
-    for idx, (prev, layer) in enumerate(zip(layers, layers[1:]), start=2):
-        if layer.cols != prev.rows:
-            raise NetworkFormatError(_input_mismatch(idx, layer.cols, prev.rows))
-    metadata = data.get("metadata")
-    if metadata is not None and not isinstance(metadata, dict):
-        raise NetworkFormatError(f"metadata is not a JSON object: {metadata!r:.60}")
-    net = ReluNetwork(layers, metadata=metadata, load_defects=defects)
-    if list(net.widths) != widths:
+        arr = np.asarray(mapping[name])
+    except KeyError:
+        raise NetworkFormatError(f"missing array {name!r}") from None
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise NetworkFormatError(f"array {name!r} cannot be read ({exc})") from exc
+    if arr.ndim != ndim or not np.issubdtype(arr.dtype, kind):
         raise NetworkFormatError(
-            f"widths field {widths} disagrees with layer shapes {list(net.widths)}"
+            f"array {name!r} must be {ndim}-d {kind.__name__}, not {arr.ndim}-d {arr.dtype}"
         )
-    return net
+    return arr
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path through a temp file in the same directory + rename.
+def network_from_dict(mapping) -> ReluNetwork:
+    """Decode network_to_dict's arrays; see the module docstring for the checks."""
+    shapes = _array(mapping, "shapes", np.integer, 2)
+    indptr = _array(mapping, "indptr", np.integer, 1)
+    indices = _array(mapping, "indices", np.integer, 1)
+    data = _array(mapping, "data", np.floating, 1)
+    bias = _array(mapping, "bias", np.floating, 1)
+    program = _array(mapping, "program", np.integer, 1)
+    if shapes.shape[1] != 2 or (shapes < 0).any():
+        raise NetworkFormatError("array 'shapes' must hold a (rows, cols) pair of counts per row")
+    if not len(program):
+        raise NetworkFormatError("empty program: a network needs at least one layer")
+    outside = (program < 0) | (program >= len(shapes))
+    if outside.any():
+        raise NetworkFormatError(
+            f"program index {program[np.argmax(outside)]} outside the table of {len(shapes)} layers"
+        )
+    used, first = np.unique(program, return_index=True)
+    if len(used) != len(shapes):
+        raise NetworkFormatError(f"the table has {len(shapes)} entries but the program uses {len(used)}")
+    chain = shapes[program]
+    broken = chain[1:, 1] != chain[:-1, 0]
+    if broken.any():
+        k = int(np.argmax(broken))
+        raise NetworkFormatError(_input_mismatch(k + 2, chain[k + 1, 1], chain[k, 0]))
+    table = []
+    # offsets are Python ints, so no count read from the file can wrap them
+    ptr_at = bias_at = entry_at = 0
+    for t, (rows, cols) in enumerate(shapes.tolist()):
+        where = f"layer {first[t] + 1}"
+        ptr = indptr[ptr_at:ptr_at + rows + 1].astype(np.int64)
+        ptr_at += rows + 1
+        bias_at += rows
+        if len(ptr) != rows + 1 or bias_at > len(bias):
+            raise NetworkFormatError(f"{where}: indptr or bias shorter than its {rows} rows")
+        nnz = int(ptr[-1])
+        entry_at += nnz
+        if ptr[0] != 0 or (np.diff(ptr) < 0).any() or entry_at > len(data):
+            raise NetworkFormatError(
+                f"{where}: indptr must rise from 0 to at most the {len(data)} stored weights"
+            )
+        weights = slice(entry_at - nnz, entry_at)
+        try:
+            layer = make_layer(
+                (rows, cols),
+                np.repeat(np.arange(rows), np.diff(ptr)),
+                indices[weights],
+                data[weights],
+                bias[bias_at - rows:bias_at],
+            )
+        except ValueError as exc:
+            raise NetworkFormatError(f"{where}: {exc}") from exc
+        if layer.weight.nnz != nnz:
+            raise NetworkFormatError(f"{where}: a stored weight is zero")
+        table.append(layer)
+    lengths = (len(indptr), len(bias), len(indices), len(data))
+    if lengths != (ptr_at, bias_at, entry_at, entry_at):
+        raise NetworkFormatError(
+            f"array lengths do not add up: indptr, bias, indices and data have {lengths}, "
+            f"the table needs {(ptr_at, bias_at, entry_at, entry_at)}"
+        )
+    metadata = None
+    if "metadata" in mapping:
+        text = _array(mapping, "metadata", np.str_, 0).item()
+        try:
+            metadata = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise NetworkFormatError(f"metadata is not valid JSON ({exc})") from exc
+        if not isinstance(metadata, dict):
+            raise NetworkFormatError(f"metadata is not a JSON object: {text:.60}")
+    return ReluNetwork([table[k] for k in program.tolist()], metadata)
 
-    The file gets the mode open(path, "w") gives a new file: 0o666 less the
+
+def atomic_write(path, data: bytes) -> None:
+    """Write data to path through a temp file in the same directory + rename.
+
+    The file gets the mode open(path, "wb") gives a new file: 0o666 less the
     umask (a tempfile.mkstemp file would stay 0o600).
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -491,15 +487,20 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def save_network(net: ReluNetwork, path) -> None:
-    """Serialize to JSON, written atomically (temp file + rename)."""
-    atomic_write_text(path, json.dumps(network_to_dict(net), separators=(",", ":")))
+    """Write network_to_dict's arrays as an .npz archive to path as given, atomically."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **network_to_dict(net))
+    atomic_write(path, buffer.getvalue())
 
 
 def load_network(path) -> ReluNetwork:
-    with open(path, "r") as handle:
-        text = handle.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"not valid JSON: {exc}") from exc
-    return network_from_dict(data)
+    """Read a file save_network wrote; any defect raises NetworkFormatError."""
+    with open(path, "rb") as handle:
+        try:
+            archive = np.load(handle, allow_pickle=False)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise NetworkFormatError(f"not an .npz archive ({exc})") from exc
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise NetworkFormatError("not an .npz archive but a bare .npy array")
+        with archive:
+            return network_from_dict(archive)

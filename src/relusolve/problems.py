@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import SparseMatrix, SparsityPattern
-from .network import atomic_write_text
+from .network import atomic_write
 from .solvers import SpectralClass
 
 __all__ = [
@@ -196,7 +196,7 @@ def write_coo(path, matrix: SparseMatrix) -> None:
     lines = [f"{matrix.pattern.n} {matrix.pattern.eta}"]
     for p, (i, j) in enumerate(matrix.pattern.positions()):
         lines.append(f"{i + 1} {j + 1} {float(matrix.values[p])!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_coo(path) -> SparseMatrix:

@@ -2,12 +2,16 @@
 
 import csv
 import json
+import os
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relusolve
 from relusolve.cli import main
 from relusolve.problems import gen_laplacian, read_coo
 
@@ -19,7 +23,7 @@ def run_cli(capsys, *argv):
 
 
 def build_small_net(capsys, tmp_path, eps="0.5", n="8", method="richardson"):
-    path = tmp_path / f"{method}-{n}-{eps}.json"
+    path = tmp_path / f"{method}-{n}-{eps}.npz"
     rc, out, err = run_cli(
         capsys,
         "build",
@@ -36,6 +40,30 @@ def build_small_net(capsys, tmp_path, eps="0.5", n="8", method="richardson"):
     )
     assert rc == 0, err
     return path, json.loads(out)
+
+
+def tamper(path, edit):
+    """Rewrite the arrays of a saved network through edit(arrays)."""
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    edit(arrays)
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+
+
+def weights_at(arrays, position):
+    """The slice of arrays["data"] that holds the weights of the layer at position."""
+    ends = arrays["indptr"][np.cumsum(arrays["shapes"][:, 0] + 1) - 1]
+    entry = arrays["program"][position]
+    start = int(ends[:entry].sum())
+    return slice(start, start + int(ends[entry]))
+
+
+def set_weight(position, k, value):
+    """An edit that sets the k-th stored weight of the layer at position."""
+    def edit(arrays):
+        arrays["data"][weights_at(arrays, position).start + k] = value
+    return edit
 
 
 def test_build_emits_report_and_network(capsys, tmp_path):
@@ -85,12 +113,12 @@ def test_verify_passes_on_intact_network(capsys, tmp_path):
 
 def test_verify_fails_on_zeroed_weight(capsys, tmp_path):
     path, _ = build_small_net(capsys, tmp_path, eps="0.1")
-    data = json.loads(path.read_text())
-    # the output layer reads a (+, -) channel pair per component; zero both
-    # weights of component 0 so that output coordinate collapses to 0
-    data["layers"][-1]["triplets"][0][2] = 0.0
-    data["layers"][-1]["triplets"][1][2] = 0.0
-    path.write_text(json.dumps(data))
+    # the output layer reads a (+, -) channel pair per component; negate both
+    # weights of component 0 so that output coordinate changes sign
+    def negate(arrays):
+        arrays["data"][weights_at(arrays, -1)][:2] *= -1.0
+
+    tamper(path, negate)
     rc, out, err = run_cli(
         capsys, "verify", "--net", str(path), "--problem", "laplacian1d", "--n", "8"
     )
@@ -99,20 +127,27 @@ def test_verify_fails_on_zeroed_weight(capsys, tmp_path):
 
 def test_verify_rejects_non_finite_weight_as_format_error(capsys, tmp_path):
     path, _ = build_small_net(capsys, tmp_path)
-    data = json.loads(path.read_text())
-    data["layers"][1]["triplets"][0][2] = float("nan")
-    path.write_text(json.dumps(data))
+    tamper(path, set_weight(1, 0, np.nan))
     rc, out, err = run_cli(capsys, "verify", "--net", str(path), "--n", "8")
     assert rc == 3
     assert "layer 2: non-finite weight" in err
 
 
+def test_verify_rejects_stored_zero_weight_as_format_error(capsys, tmp_path):
+    path, _ = build_small_net(capsys, tmp_path)
+    tamper(path, set_weight(1, 0, 0.0))
+    rc, out, err = run_cli(capsys, "verify", "--net", str(path), "--n", "8")
+    assert rc == 3
+    assert "layer 2: a stored weight is zero" in err
+
+
 def test_verify_rejects_broken_shape_chain_as_format_error(capsys, tmp_path):
     path, _ = build_small_net(capsys, tmp_path)
-    data = json.loads(path.read_text())
-    # the widths still match the rows, but layer 2 now reads one input too many
-    data["layers"][1]["cols"] += 1
-    path.write_text(json.dumps(data))
+    def widen(arrays):
+        # layer 2 now reads one input more than layer 1 has rows
+        arrays["shapes"][arrays["program"][1], 1] += 1
+
+    tamper(path, widen)
     rc, out, err = run_cli(capsys, "verify", "--net", str(path), "--n", "8")
     assert rc == 3
     assert "layer 2: weight expects" in err
@@ -121,12 +156,29 @@ def test_verify_rejects_broken_shape_chain_as_format_error(capsys, tmp_path):
 @pytest.mark.parametrize("metadata", [7, [1, 2], "text"])
 def test_verify_rejects_metadata_that_is_not_an_object(capsys, tmp_path, metadata):
     path, _ = build_small_net(capsys, tmp_path)
-    data = json.loads(path.read_text())
-    data["metadata"] = metadata
-    path.write_text(json.dumps(data))
+    tamper(path, lambda arrays: arrays.update(metadata=np.array(json.dumps(metadata))))
     rc, out, err = run_cli(capsys, "verify", "--net", str(path), "--n", "8")
     assert rc == 3
     assert "metadata is not a JSON object" in err
+
+
+def test_verify_loads_a_deep_network_in_a_4_gb_address_space(capsys, tmp_path):
+    # richardson n=32, eps=0.1: 14,566 positions over 24 distinct layers
+    path, report = build_small_net(capsys, tmp_path, eps="0.1", n="32")
+    assert report["results"]["stats"]["depth"] == 14566
+    limit = 4_000_000_000
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(relusolve.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "relusolve.cli", "verify", "--net", str(path), "--n", "32",
+         "--samples", "3"],
+        capture_output=True, text=True, env=env, timeout=300, preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["passed"] is True
 
 
 def test_verify_rejects_negative_sample_count(capsys, tmp_path):
@@ -297,7 +349,7 @@ def test_exit_codes_for_common_failures(capsys, tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{oops")
     rc, out, err = run_cli(capsys, "verify", "--net", str(broken))
-    assert rc == 3 and "not valid JSON" in err
+    assert rc == 3 and "not an .npz archive" in err
     rc, out, err = run_cli(
         capsys, "build", "--method", "cg", "--problem", "nosuch", "--out", str(tmp_path / "y.json")
     )
@@ -312,9 +364,7 @@ def test_exit_codes_for_common_failures(capsys, tmp_path):
 
 def test_verify_requires_solver_metadata(capsys, tmp_path):
     path, _ = build_small_net(capsys, tmp_path)
-    data = json.loads(path.read_text())
-    del data["metadata"]
-    path.write_text(json.dumps(data))
+    tamper(path, lambda arrays: arrays.pop("metadata"))
     rc, out, err = run_cli(capsys, "verify", "--net", str(path), "--n", "8")
     assert rc == 2
     assert "metadata missing" in err

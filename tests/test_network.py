@@ -1,6 +1,8 @@
 """Representation, evaluation, and serialization round-trips."""
 
 import hashlib
+import io
+import json
 import warnings
 from unittest import mock
 
@@ -23,7 +25,6 @@ from relusolve.network import (
     network_to_dict,
     save_network,
     stats,
-    validate,
 )
 from relusolve.problems import gen_laplacian
 from relusolve.solvers import SolverConfig, build_cg_net, build_richardson_net
@@ -282,27 +283,6 @@ def test_stats_counts_stored_entries_and_nonzero_bias():
     assert st_.input_dim == 2 and st_.output_dim == 1
 
 
-def test_validate_reports_shape_chain_breaks():
-    l1 = Layer(sp.csr_matrix((2, 3)))
-    l2 = Layer(sp.csr_matrix((1, 3)))  # expects 3 inputs, receives 2
-    defects = validate(ReluNetwork([l1, l2]))
-    assert any("expects 3 inputs but receives 2" in d for d in defects)
-
-
-def test_validate_reports_bias_length_and_non_finite():
-    good = sp.eye(2, format="csr")
-    bad_bias = Layer(good, bias=[1.0, 2.0, 3.0])
-    bad_weight = Layer(sp.csr_matrix(np.array([[np.inf, 0.0], [0.0, 1.0]])))
-    defects = validate(ReluNetwork([bad_bias, bad_weight]))
-    assert any("bias length 3" in d for d in defects)
-    assert any("non-finite weight" in d for d in defects)
-
-
-def test_validate_clean_network_returns_empty():
-    net = ReluNetwork([make_layer((2, 2), [0, 1], [0, 1], [1.0, 1.0])])
-    assert validate(net) == []
-
-
 def test_dict_round_trip_preserves_evaluation_and_metadata():
     rng = np.random.default_rng(11)
     l1 = make_layer((3, 2), [0, 1, 2], [1, 0, 1], [0.25, -1.5, 3.0], bias=[0.0, 0.5, 0.0])
@@ -310,11 +290,14 @@ def test_dict_round_trip_preserves_evaluation_and_metadata():
     net = ReluNetwork([l1, l2], metadata={"method": "test", "m": 3})
     back = network_from_dict(network_to_dict(net))
     assert back.metadata == {"method": "test", "m": 3}
-    assert back.load_defects == ()
     assert stats(back) == stats(net)
     for _ in range(5):
         x = rng.normal(size=2) * 10
         assert np.array_equal(evaluate(back, x), evaluate(net, x))
+    # absent metadata is no array, and decodes to None
+    arrays = network_to_dict(ReluNetwork([l1, l2]))
+    assert "metadata" not in arrays
+    assert network_from_dict(arrays).metadata is None
 
 
 def test_save_and_load_file_round_trip(tmp_path):
@@ -322,151 +305,224 @@ def test_save_and_load_file_round_trip(tmp_path):
         [make_layer((2, 2), [0, 1], [0, 0], [1.0, -0.5], bias=[0.0, 2.0])],
         metadata={"n": 2},
     )
+    # the path is used as given, whatever its extension
     path = tmp_path / "net.json"
     save_network(net, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["net.json"]
     back = load_network(path)
     assert back.metadata == {"n": 2}
     x = np.array([3.0, -4.0])
     assert np.array_equal(evaluate(back, x), evaluate(net, x))
 
 
+def _program(net):
+    """Each position's index into the distinct layer objects, by first appearance."""
+    slots = {}
+    return [slots.setdefault(id(layer), len(slots)) for layer in net.layers]
+
+
+def assert_same_layers(back, net):
+    """back holds net's sharing and, at every position, its bytes and dtypes."""
+    assert _program(back) == _program(net)
+    for got, want in zip(back.layers, net.layers):
+        assert got.weight.shape == want.weight.shape
+        for a, b in ((got.weight.data, want.weight.data), (got.weight.indices, want.weight.indices),
+                     (got.weight.indptr, want.weight.indptr), (got.bias, want.bias)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize(
     "method, build, digest",
     [
         ("richardson", build_richardson_net,
-         "dfffb342444e7982ed6cd7f7a137e6d0c6272d20a4761c58819459ebaaff764f"),
+         "ed8693efeb9c66529a0c8ffd49485a8f67f803e3e6a6ce668bf54dacb1fd44c2"),
         ("cg", build_cg_net,
-         "731e3ec00917ef2ce8c5a097e189c17ec018c4aa939c97c8ee6de8a63c0749b9"),
+         "a2bb93193d14741b10dea0490ccf534326a963d022eb1f3b6377aabd5242693b"),
     ],
 )
 def test_saved_file_bytes_are_frozen(tmp_path, method, build, digest):
     fem = gen_laplacian(1, 4)
     net = build(fem.pattern, fem.spectral, SolverConfig(method, 0.5))
-    path = tmp_path / "net.json"
+    path = tmp_path / "net.npz"
     save_network(net, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    save_network(net, tmp_path / "again.npz")
+    assert (tmp_path / "again.npz").read_bytes() == path.read_bytes()
+    back = load_network(path)
+    assert_same_layers(back, net)
+    assert back.metadata == net.metadata
+
+
+def _valid_net():
+    """Positions A, A, B: a shared 2x2 layer, then a 1x2 output layer.
+
+    Its arrays: shapes [[2, 2], [1, 2]], indptr [0, 2, 3, 0, 2],
+    indices [0, 1, 1, 0, 1], data [1, -0.5, 2, 1, 1], bias [0, 0.5, -1],
+    program [0, 0, 1].
+    """
+    a = make_layer((2, 2), [0, 0, 1], [0, 1, 1], [1.0, -0.5, 2.0], bias=[0.0, 0.5])
+    b = make_layer((1, 2), [0, 0], [0, 1], [1.0, 1.0], bias=[-1.0])
+    return ReluNetwork([a, a, b], metadata={"n": 2})
+
+
+def test_to_dict_stores_each_distinct_layer_once():
+    arrays = network_to_dict(_valid_net())
+    expected = {
+        "shapes": [[2, 2], [1, 2]],
+        "indptr": [0, 2, 3, 0, 2],
+        "indices": [0, 1, 1, 0, 1],
+        "data": [1.0, -0.5, 2.0, 1.0, 1.0],
+        "bias": [0.0, 0.5, -1.0],
+        "program": [0, 0, 1],
+        "metadata": '{"n": 2}',
+    }
+    assert {name: arrays[name].tolist() for name in arrays} == expected
+    assert [arrays[name].dtype for name in ("shapes", "indptr", "indices", "program")] == [np.int64] * 4
+
+
+def _set(name, index, value):
+    def edit(arrays):
+        arrays[name][index] = value
+    return edit
+
+
+def _replace(name, value):
+    def edit(arrays):
+        arrays[name] = value(arrays[name]) if callable(value) else value
+    return edit
+
+
+def _metadata(text):
+    return _replace("metadata", np.array(text))
+
+
+def _expect_rejected(edit, message):
+    arrays = network_to_dict(_valid_net())
+    edit(arrays)
+    with pytest.raises(NetworkFormatError, match=message):
+        network_from_dict(arrays)
+
+
+def test_from_dict_missing_fields():
+    _expect_rejected(lambda arrays: arrays.pop("indices"), "missing array 'indices'")
+    _expect_rejected(_replace("program", lambda a: a[:0]), "empty program")
+
+
+@pytest.mark.parametrize("metadata", [3, [1, 2], "text"])
+def test_from_dict_rejects_metadata_that_is_not_an_object(metadata):
+    _expect_rejected(_metadata(json.dumps(metadata)), "metadata is not a JSON object")
+
+
+def test_from_dict_widths_disagreement():
+    # the shapes give the widths; every array must have exactly the length they need
+    _expect_rejected(_replace("bias", lambda a: np.append(a, 1.0)), "lengths do not add up")
+    _expect_rejected(_replace("bias", lambda a: a[:-1]), "layer 3: indptr or bias shorter")
+    _expect_rejected(_replace("indptr", lambda a: a[:-1]), "layer 3: indptr or bias shorter")
+    _expect_rejected(_replace("indices", lambda a: a[:-1]), "layer 3: triplet arrays must have equal")
+    _expect_rejected(_replace("indices", lambda a: np.append(a, 0)), "lengths do not add up")
+
+    def extra_weight(arrays):
+        arrays["indices"] = np.append(arrays["indices"], 0)
+        arrays["data"] = np.append(arrays["data"], 1.0)
+
+    _expect_rejected(extra_weight, "lengths do not add up")
+
+
+def test_from_dict_rejects_out_of_range_entries():
+    _expect_rejected(_set("indices", 4, 5), r"layer 3: triplet \(0, 5\) out of range")
+    # (0, 2) has the flat key 0 * 2 + 2 of (1, 0); it must not pass as a duplicate
+    _expect_rejected(_replace("indices", np.array([0, 2, 0, 0, 1])),
+                     r"layer 1: triplet \(0, 2\) out of range")
+
+    def zero_outside(arrays):
+        _set("indices", 4, 5)(arrays)
+        _set("data", 4, 0.0)(arrays)
+
+    _expect_rejected(zero_outside, r"layer 3: triplet \(0, 5\) out of range")
+    for edit in (_set("shapes", (1, 0), -1), _replace("shapes", lambda a: np.hstack([a, a[:, :1]]))):
+        _expect_rejected(edit, r"\(rows, cols\) pair")
+    _expect_rejected(_replace("shapes", lambda a: a + 0.5), "'shapes' must be 2-d integer")
+    _expect_rejected(_set("data", 0, np.nan), "layer 1: non-finite weight")
+    _expect_rejected(_set("data", 3, -np.inf), "layer 3: non-finite weight")
+    _expect_rejected(_set("bias", 2, np.inf), "layer 3: non-finite bias")
+
+
+def test_from_dict_rejects_broken_shape_chain():
+    # layer 3 reads 3 inputs from the 2 rows of layer 2
+    _expect_rejected(_set("shapes", (1, 1), 3), "layer 3: weight expects 3 inputs but receives 2")
+
+
+def test_from_dict_rejects_malformed_triplet():
+    _expect_rejected(_replace("indices", lambda a: a + 0.5), "'indices' must be 1-d integer")
+    _expect_rejected(_set("indptr", 0, 1), "layer 1: indptr must rise from 0")
+    _expect_rejected(_set("indptr", 1, 4), "layer 1: indptr must rise from 0")
+    _expect_rejected(_set("indptr", 4, 3), "layer 3: indptr must rise .* at most the 5")
+
+
+# defects beyond the test_from_dict_* cases, written to a file
+DEFECTS = {
+    "pickled array": (_replace("program", np.array([0, 0, 1], dtype=object)),
+                      "array 'program' cannot be read"),
+    "float program": (_replace("program", lambda a: a.astype(float)), "'program' must be 1-d integer"),
+    "integer weights": (_replace("data", lambda a: a.astype(np.int64)), "'data' must be 1-d floating"),
+    "string bias": (_replace("bias", lambda a: a.astype(str)), "'bias' must be 1-d floating"),
+    "flat shapes": (_replace("shapes", lambda a: a.ravel()), "'shapes' must be 2-d integer"),
+    "program index past the table": (_set("program", 2, 2), "program index 2 outside the table of 2"),
+    "negative program index": (_set("program", 0, -1), "program index -1 outside"),
+    "unused table entry": (_replace("program", lambda a: a[:2]), "the table has 2 entries but the program uses 1"),
+    "duplicate index": (_set("indices", 1, 0), "layer 1: duplicate triplet"),
+    "stored zero": (_set("data", 1, 0.0), "layer 1: a stored weight is zero"),
+    "metadata null": (_metadata("null"), "metadata is not a JSON object"),
+    "metadata not JSON": (_metadata("{oops"), "metadata is not valid JSON"),
+    "metadata nested too deep": (_metadata("[" * 100_000), "metadata is not valid JSON"),
+    "metadata not text": (_replace("metadata", np.array(3)), "'metadata' must be 0-d str"),
+    "metadata list of text": (_replace("metadata", np.array(['{"n": 2}'])), "'metadata' must be 0-d str"),
+}
+
+
+@pytest.mark.parametrize("edit, message", DEFECTS.values(), ids=DEFECTS.keys())
+def test_load_rejects_defective_arrays(tmp_path, edit, message):
+    path = tmp_path / "net.npz"
+    save_network(_valid_net(), path)
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    edit(arrays)
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+    with pytest.raises(NetworkFormatError, match=message):
+        load_network(path)
 
 
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    with pytest.raises(NetworkFormatError, match="not valid JSON"):
+    with pytest.raises(NetworkFormatError, match="not an .npz archive"):
         load_network(path)
 
 
-def test_from_dict_missing_fields():
-    with pytest.raises(NetworkFormatError, match="missing network field"):
-        network_from_dict({"widths": [1, 1]})
-    with pytest.raises(NetworkFormatError, match="no layers"):
-        network_from_dict({"widths": [1], "layers": []})
+def _truncated_archive(path):
+    save_network(_valid_net(), path)
+    path.write_bytes(path.read_bytes()[:200])
 
 
-@pytest.mark.parametrize("metadata", [3, [1, 2], "text"])
-def test_from_dict_rejects_metadata_that_is_not_an_object(metadata):
-    data = network_to_dict(ReluNetwork([make_layer((1, 1), [0], [0], [1.0])]))
-    data["metadata"] = metadata
-    with pytest.raises(NetworkFormatError, match="metadata is not a JSON object"):
-        network_from_dict(data)
-    data["metadata"] = None
-    assert network_from_dict(data).metadata is None
+def _bare_npy(path):
+    with open(path, "wb") as handle:
+        np.save(handle, np.arange(3))
 
 
-def test_from_dict_widths_disagreement():
-    data = {
-        "widths": [2, 5],
-        "layers": [{"rows": 1, "cols": 2, "triplets": [[0, 0, 1.0]], "bias": []}],
-    }
-    with pytest.raises(NetworkFormatError, match="disagrees"):
-        network_from_dict(data)
-
-
-def test_from_dict_rejects_out_of_range_entries():
-    base = {"widths": [2, 1], "layers": [{"rows": 1, "cols": 2, "triplets": [], "bias": []}]}
-    bad_trip = {**base, "layers": [{**base["layers"][0], "triplets": [[0, 5, 1.0]]}]}
-    with pytest.raises(NetworkFormatError, match="out of range"):
-        network_from_dict(bad_trip)
-    bad_bias = {**base, "layers": [{**base["layers"][0], "bias": [[7, 1.0]]}]}
-    with pytest.raises(NetworkFormatError, match="bias index 7"):
-        network_from_dict(bad_bias)
-    # (0, 2) has the flat key 0 * 2 + 2 of (1, 0); it must not pass as a duplicate
-    aliased = {
-        "widths": [2, 2],
-        "layers": [{"rows": 2, "cols": 2, "triplets": [[1, 0, 1.0], [0, 2, 1.0]], "bias": []}],
-    }
-    with pytest.raises(NetworkFormatError, match=r"\(0, 2\) out of range"):
-        network_from_dict(aliased)
-    zero_outside = {**base, "layers": [{**base["layers"][0], "triplets": [[0, 5, 0.0]]}]}
-    with pytest.raises(NetworkFormatError, match="out of range"):
-        network_from_dict(zero_outside)
-    for rows in (-1, 1.5):
-        bad_shape = {"widths": [2, rows], "layers": [{**base["layers"][0], "rows": rows}]}
-        with pytest.raises(NetworkFormatError, match="malformed entry"):
-            network_from_dict(bad_shape)
-    for field, value, message in (
-        ("triplets", [[0, 0, float("nan")]], "non-finite weight"),
-        ("triplets", [[0, 1, float("-inf")]], "non-finite weight"),
-        ("bias", [[0, float("inf")]], "non-finite bias"),
-    ):
-        bad = {**base, "layers": [{**base["layers"][0], field: value}]}
-        with pytest.raises(NetworkFormatError, match=message):
-            network_from_dict(bad)
-
-
-def test_from_dict_rejects_broken_shape_chain():
-    # widths agree with the rows, but layer 2 reads 3 inputs from 2 rows
-    data = {
-        "widths": [2, 2, 1],
-        "layers": [
-            {"rows": 2, "cols": 2, "triplets": [[0, 0, 1.0]], "bias": []},
-            {"rows": 1, "cols": 3, "triplets": [[0, 2, 1.0]], "bias": []},
-        ],
-    }
-    with pytest.raises(NetworkFormatError, match="layer 2: weight expects 3 inputs but receives 2"):
-        network_from_dict(data)
-
-
-def test_from_dict_rejects_malformed_triplet():
-    data = {
-        "widths": [1, 1],
-        "layers": [{"rows": 1, "cols": 1, "triplets": [["x"]], "bias": []}],
-    }
-    with pytest.raises(NetworkFormatError, match="malformed triplet"):
-        network_from_dict(data)
-    for triplets in ([[0.7, 0.2, 1.0]], [[0, 0, 1.0, 5.0]], [[0, 0]], [[0, 0, 1.0], [0]]):
-        data["layers"][0]["triplets"] = triplets
-        with pytest.raises(NetworkFormatError, match="malformed triplet"):
-            network_from_dict(data)
-    data["layers"][0]["triplets"] = []
-    data["layers"][0]["bias"] = [[0.5, 1.0]]
-    with pytest.raises(NetworkFormatError, match="malformed bias pair"):
-        network_from_dict(data)
-
-
-def test_from_dict_records_duplicates_and_zeros_as_defects():
-    data = {
-        "widths": [1, 1],
-        "layers": [
-            {
-                "rows": 1,
-                "cols": 1,
-                "triplets": [[0, 0, 1.0], [0, 0, 2.0]],
-                "bias": [],
-            }
-        ],
-    }
-    net = network_from_dict(data)
-    assert any("duplicate triplet" in d for d in net.load_defects)
-    assert net.layers[0].weight[0, 0] == 1.0  # the first occurrence is kept
-    data["layers"][0]["bias"] = [[0, 3.0], [0, 4.0]]
-    net = network_from_dict(data)
-    assert "layer 1: duplicate bias index 0" in net.load_defects
-    assert net.layers[0].bias[0] == 3.0
-    data["layers"][0]["bias"] = []
-    data["layers"][0]["triplets"] = [[0, 0, 0.0]]
-    data["widths"] = [1, 1]
-    net = network_from_dict(data)
-    assert any("explicit zero" in d for d in net.load_defects)
-    assert validate(net)  # load defects surface through validate
+@pytest.mark.parametrize("write", [
+    pytest.param(lambda path: path.write_text(
+        '{"widths":[1,1],"layers":[{"rows":1,"cols":1,"triplets":[[0,0,1.0]],"bias":[]}]}'
+    ), id="json network"),
+    pytest.param(lambda path: path.write_bytes(b""), id="empty"),
+    pytest.param(_bare_npy, id="bare npy"),
+    pytest.param(_truncated_archive, id="truncated zip"),
+])
+def test_load_rejects_files_that_are_not_npz_archives(tmp_path, write):
+    path = tmp_path / "net.npz"
+    write(path)
+    with pytest.raises(NetworkFormatError, match="not an .npz archive"):
+        load_network(path)
 
 
 @st.composite
@@ -512,8 +568,17 @@ def layer_stacks(draw):
 
 
 @st.composite
-def small_nets(draw):
-    layers, width = draw(layer_stacks())
+def shared_nets(draw):
+    """A walk over a layer_stacks table: positions repeat layer objects."""
+    table, width = draw(layer_stacks())
+    layers = []
+    inputs = width
+    for _ in range(draw(st.integers(1, 8))):
+        fits = [layer for layer in table if layer.cols == inputs]
+        if not fits:
+            break
+        layers.append(draw(st.sampled_from(fits)))
+        inputs = layers[-1].rows
     x = draw(
         st.lists(
             st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False),
@@ -525,11 +590,16 @@ def small_nets(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_nets())
+@given(shared_nets())
 def test_round_trip_is_lossless(case):
     net, x = case
-    back = network_from_dict(network_to_dict(net))
-    assert back.load_defects == ()
+    buffer = io.BytesIO()
+    np.savez(buffer, **network_to_dict(net))
+    buffer.seek(0)
+    with np.load(buffer) as archive:
+        back = network_from_dict(archive)
+    assert len(set(map(id, back.layers))) == len(set(map(id, net.layers)))
+    assert_same_layers(back, net)
     assert stats(back) == stats(net)
     assert np.array_equal(evaluate(back, x), evaluate(net, x))
 
