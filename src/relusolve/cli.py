@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments
 (including inputs that drive the network to a non-finite value), 3 I/O or
-file-format failure.  All commands are deterministic given --seed
-and echo their full parameter set in the emitted report.
+file-format failure.  All commands are deterministic given --seed, and
+every JSON report echoes the command's full parameter set and gives
+durations.total_s and peak_rss_mb.  eval and verify take a network only
+with the problem size and spectral bracket it was built for.
 """
 
 from __future__ import annotations
@@ -99,8 +101,16 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _echo(args, keys):
-    return {key: getattr(args, key.replace("-", "_")) for key in keys}
+def _report(args, results: dict, durations: dict, t0: float) -> dict:
+    """A command's JSON report: its full parameter set, results and timings."""
+    return {
+        "command": args.command,
+        "version": __version__,
+        "parameters": {key: value for key, value in vars(args).items() if key != "command"},
+        "results": results,
+        "durations": {**durations, "total_s": time.perf_counter() - t0},
+        "peak_rss_mb": _peak_rss_mb(),
+    }
 
 
 def cmd_gen(args) -> int:
@@ -109,21 +119,15 @@ def cmd_gen(args) -> int:
         args.problem, args.n, args.seed, args.lam, args.lam_max
     )
     write_coo(args.out, matrix)
-    report = {
-        "command": "gen",
-        "version": __version__,
-        "parameters": _echo(args, ("problem", "n", "seed", "out", "lam", "lam_max")),
-        "results": {
-            "n": pattern.n,
-            "eta": pattern.eta,
-            "lambda": spec.lam,
-            "Lambda": spec.Lam,
-            "kappa": spec.kappa,
-            "matrix_path": args.out,
-        },
-        "durations": {"total_s": time.perf_counter() - t0},
+    results = {
+        "n": pattern.n,
+        "eta": pattern.eta,
+        "lambda": spec.lam,
+        "Lambda": spec.Lam,
+        "kappa": spec.kappa,
+        "matrix_path": args.out,
     }
-    _emit_report(report)
+    _emit_report(_report(args, results, {}, t0))
     return 0
 
 
@@ -143,33 +147,26 @@ def cmd_build(args) -> int:
     build_s = time.perf_counter() - t0
     save_network(net, args.out)
     st = stats(net)
-    report = {
-        "command": "build",
-        "version": __version__,
-        "parameters": _echo(
-            args, ("method", "problem", "n", "eps", "c_sc", "seed", "out", "lam", "lam_max")
-        ),
-        "results": {
-            "network_path": args.out,
-            "metadata": net.metadata,
-            "stats": {
-                "depth": st.depth,
-                "weights": st.weights,
-                "max_width": st.max_width,
-                "input_dim": st.input_dim,
-                "output_dim": st.output_dim,
-            },
+    results = {
+        "network_path": args.out,
+        "metadata": net.metadata,
+        "stats": {
+            "depth": st.depth,
+            "weights": st.weights,
+            "max_width": st.max_width,
+            "input_dim": st.input_dim,
+            "output_dim": st.output_dim,
         },
-        "durations": {"build_s": build_s, "total_s": time.perf_counter() - t0},
     }
-    _emit_report(report)
+    _emit_report(_report(args, results, {"build_s": build_s}, t0))
     return 0
 
 
 def _load_for_problem(args, durations: dict):
     """Load args.net and resolve the problem flags it must have been built for.
 
-    The load time is recorded in durations["load_s"].
+    The problem must have the network's size and, exactly, its spectral
+    bracket.  The load time is recorded in durations["load_s"].
     """
     t0 = time.perf_counter()
     net = load_network(args.net)
@@ -185,6 +182,11 @@ def _load_for_problem(args, durations: dict):
         raise ValueError(
             f"problem size (n={pattern.n}, eta={pattern.eta}) does not match network "
             f"metadata (n={meta['n']}, eta={meta['eta']})"
+        )
+    if (spec.lam, spec.Lam) != (meta["lambda"], meta["Lambda"]):
+        raise ValueError(
+            f"problem bracket [{spec.lam!r}, {spec.Lam!r}] does not match the network's "
+            f"[{meta['lambda']!r}, {meta['Lambda']!r}]"
         )
     return net, meta, pattern, matrix, spec
 
@@ -204,19 +206,12 @@ def cmd_eval(args) -> int:
     durations["eval_s"] = time.perf_counter() - t_eval
     if args.out:
         atomic_write(args.out, ("\n".join(repr(float(v)) for v in out) + "\n").encode())
-    report = {
-        "command": "eval",
-        "version": __version__,
-        "parameters": _echo(args, ("net", "problem", "n", "seed", "rhs", "out")),
-        "results": {
-            "output": [float(v) for v in out],
-            "rhs_norm": float(np.linalg.norm(r)),
-            "realized_c_sc": float(np.linalg.norm(r) / meta["lambda"]),
-        },
-        "durations": {**durations, "total_s": time.perf_counter() - t0},
-        "peak_rss_mb": _peak_rss_mb(),
+    results = {
+        "output": [float(v) for v in out],
+        "rhs_norm": float(np.linalg.norm(r)),
+        "realized_c_sc": float(np.linalg.norm(r) / meta["lambda"]),
     }
-    _emit_report(report)
+    _emit_report(_report(args, results, durations, t0))
     return 0
 
 
@@ -248,24 +243,17 @@ def cmd_verify(args) -> int:
     max_error = max(errors) if errors else 0.0
     passed = max_error <= eps
     st = stats(net)
-    report = {
-        "command": "verify",
-        "version": __version__,
-        "parameters": _echo(args, ("net", "problem", "n", "samples", "seed")),
-        "results": {
-            "metadata": meta,
-            "per_sample_errors": errors,
-            "max_error": max_error,
-            "epsilon": eps,
-            "passed": passed,
-            "zero_rhs_exact": zero_exact,
-            "realized_c_sc": realized,
-            "stats": {"depth": st.depth, "weights": st.weights},
-        },
-        "durations": {**durations, "total_s": time.perf_counter() - t0},
-        "peak_rss_mb": _peak_rss_mb(),
+    results = {
+        "metadata": meta,
+        "per_sample_errors": errors,
+        "max_error": max_error,
+        "epsilon": eps,
+        "passed": passed,
+        "zero_rhs_exact": zero_exact,
+        "realized_c_sc": realized,
+        "stats": {"depth": st.depth, "weights": st.weights},
     }
-    _emit_report(report, args.out)
+    _emit_report(_report(args, results, durations, t0), args.out)
     return 0 if passed else 1
 
 
@@ -287,13 +275,12 @@ def cmd_audit(args) -> int:
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
+    # one problem per size, shared by every method and eps
+    resolved = [_resolve_problem(args.problem, n, args.seed, args.lam, args.lam_max) for n in n_list]
     rows = []
     for method in methods:
-        for n in n_list:
+        for pattern, _, spec, _ in resolved:
             for eps in eps_list:
-                pattern, matrix, spec, desc = _resolve_problem(
-                    args.problem, n, args.seed, args.lam, args.lam_max
-                )
                 config = SolverConfig(method, eps, args.c_sc)
                 net = _build_net(method, pattern, spec, config)
                 m = net.metadata["m"]
@@ -330,16 +317,7 @@ def cmd_audit(args) -> int:
         else:
             sys.stdout.write(text)
     else:
-        report = {
-            "command": "audit",
-            "version": __version__,
-            "parameters": _echo(
-                args, ("problem", "n", "eps", "method", "c_sc", "seed", "out", "format")
-            ),
-            "results": {"rows": rows},
-            "durations": {"total_s": time.perf_counter() - t0},
-        }
-        _emit_report(report, args.out)
+        _emit_report(_report(args, {"rows": rows}, {}, t0), args.out)
     return 0
 
 

@@ -25,19 +25,22 @@ multiplies it by its largest row sum of |[W | b]|.  While the bound stays
 below _FINITE_BOUND no value can overflow, so the output is finite and is
 not screened.  Otherwise (always at the first layer) the output is screened
 with one sum, scanned exactly only when that sum is not finite, and the
-bound restarts from the ReLU output's maximum.  The kernels check no
-shapes, so a layer whose input count or bias length does not fit raises
-ValueError before its kernel call, unless a block faulted at an earlier
-layer.  The result is bit for bit that of relu(W @ x + b) per layer.
+bound restarts from the ReLU output's maximum.  The result is bit for bit
+that of relu(W @ x + b) per layer.
+
+Layers and networks are checked once, at construction: a Layer holds
+finite weights and a bias of one entry per row, and a ReluNetwork's layers
+chain, each reading the rows of the one before.  So the kernels, which
+check no shapes, need only evaluate's check of its input.
 
 On disk a network is an .npz archive that keeps its sharing: shapes, a
 (T, 2) array, and the concatenated CSR arrays indptr, indices, data and
 dense bias of its T distinct layer objects in order of first appearance;
 program, the table index of each position; and metadata, JSON text in a
 0-d string array.  Loading checks each table entry once, its indptr and
-then make_layer, the builders' check, so a stored zero is an error.  Any
-defect, from a file that is no .npz archive to a broken shape chain, raises
-NetworkFormatError.
+then make_layer, the builders' check, so a stored zero is an error; the
+chain is ReluNetwork's check.  Any defect, from a file that is no .npz
+archive to a broken shape chain, raises NetworkFormatError.
 """
 
 from __future__ import annotations
@@ -76,30 +79,36 @@ class NetworkFormatError(ValueError):
 class EvaluationFault(RuntimeError):
     """A non-finite value appeared while evaluating a network."""
 
-    def __init__(self, layer_index: int, message: str):
-        super().__init__(f"layer {layer_index}: {message}")
+    def __init__(self, layer_index: int):
+        super().__init__(f"layer {layer_index}: non-finite value in layer output")
         self.layer_index = layer_index
 
 
 class Layer:
     """One affine layer W x + b with sparse W and dense b.
 
-    The constructor is permissive: wrong shapes and non-finite entries are
-    representable, and evaluate checks shapes before each layer runs.
-    Builders and the file loader go through make_layer, which is strict.
+    The constructor checks the layer's contents: weights and bias are
+    finite, and the bias has one entry per row (zeros when None).
+    make_layer builds a layer from triplets and adds its own index checks.
     """
 
-    __slots__ = ("weight", "bias", "_kernel")
+    __slots__ = ("weight", "bias", "rows", "cols", "_kernel")
 
     def __init__(self, weight, bias=None):
         w = sp.csr_matrix(weight, dtype=np.float64)
         w.sort_indices()
+        rows, cols = w.shape
+        b = np.zeros(rows) if bias is None else np.array(bias, dtype=np.float64).reshape(-1)
+        if not np.isfinite(w.data).all():
+            raise ValueError("non-finite weight value")
+        if not np.isfinite(b).all():
+            raise ValueError("non-finite bias value")
+        if len(b) != rows:
+            raise ValueError(f"bias length {len(b)} does not match {rows} rows")
         self.weight = w
-        if bias is None:
-            b = np.zeros(w.shape[0])
-        else:
-            b = np.array(bias, dtype=np.float64).reshape(-1)
         self.bias = b
+        self.rows = rows
+        self.cols = cols
         # freeze the buffers; networks are immutable after construction
         for arr in (w.data, w.indices, w.indptr, b):
             arr.flags.writeable = False
@@ -110,7 +119,7 @@ class Layer:
 
         Each nonzero bias entry is the last stored entry of its row, at
         column cols, where every activation holds a constant 1.  gain is
-        the largest row sum of |[W | b]|, at least 1 (NaN for a NaN entry).
+        the largest row sum of |[W | b]|, at least 1.
         Prepared on first use and kept, so a layer object repeated across
         positions is folded once and building or loading a network pays
         nothing; a layer without a nonzero bias runs its own arrays.
@@ -137,25 +146,16 @@ class Layer:
             indptr, _, data = kernel
             row_of = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
             row_sums = np.bincount(row_of, weights=np.abs(data), minlength=len(indptr) - 1)
-            # np.max keeps a NaN, where max(1.0, nan) would drop it
             self._kernel = (*kernel, float(row_sums.max(initial=1.0)))
         return self._kernel
-
-    @property
-    def rows(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.weight.shape[1]
 
 
 def make_layer(shape, rows, cols, vals, bias=None) -> Layer:
     """Build a layer from triplets, dropping zeros and rejecting bad entries.
 
-    This is the one check of layer contents, for builders and for decoded
-    files alike: every index lies inside shape, no position is stored twice
-    once zeros are dropped, and weights and bias are finite.
+    Builders and decoded files alike come through here: every index lies
+    inside shape and no position is stored twice once zeros are dropped;
+    Layer then checks finiteness and the bias length.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
@@ -171,27 +171,34 @@ def make_layer(shape, rows, cols, vals, bias=None) -> Layer:
     flat = rows * shape[1] + cols
     if len(np.unique(flat)) != len(flat):
         raise ValueError("duplicate triplet positions")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite weight value")
-    w = sp.csr_matrix((vals, (rows, cols)), shape=shape)
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64)
-        if not np.all(np.isfinite(bias)):
-            raise ValueError("non-finite bias value")
-    return Layer(w, bias)
+    return Layer(sp.csr_matrix((vals, (rows, cols)), shape=shape), bias)
+
+
+def _input_mismatch(idx: int, cols: int, inputs: int) -> str:
+    return f"layer {idx}: weight expects {cols} inputs but receives {inputs}"
 
 
 class ReluNetwork:
-    """Immutable list of layers, with optional metadata carried to disk."""
+    """Immutable chain of layers, each reading the previous layer's rows.
 
-    __slots__ = ("layers", "metadata")
+    widths holds the input count, then each layer's rows; metadata, if
+    any, is carried to disk.
+    """
+
+    __slots__ = ("layers", "metadata", "widths")
 
     def __init__(self, layers, metadata=None):
         layers = tuple(layers)
         if not layers:
             raise ValueError("a network needs at least one layer")
+        widths = [layers[0].cols]
+        for idx, layer in enumerate(layers, start=1):
+            if layer.cols != widths[-1]:
+                raise ValueError(_input_mismatch(idx, layer.cols, widths[-1]))
+            widths.append(layer.rows)
         self.layers = layers
         self.metadata = dict(metadata) if metadata is not None else None
+        self.widths = tuple(widths)
 
     @property
     def depth(self) -> int:
@@ -199,15 +206,11 @@ class ReluNetwork:
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].cols
+        return self.widths[0]
 
     @property
     def output_dim(self) -> int:
-        return self.layers[-1].rows
-
-    @property
-    def widths(self) -> tuple:
-        return (self.layers[0].cols,) + tuple(layer.rows for layer in self.layers)
+        return self.widths[-1]
 
     def __repr__(self):
         return f"ReluNetwork(depth={self.depth}, widths={self.input_dim}->{self.output_dim})"
@@ -229,43 +232,43 @@ _FINITE_BOUND = 2.0**1000
 def evaluate(net: ReluNetwork, x) -> np.ndarray:
     """Run the network on a vector, or on a (N0 x batch) matrix of columns.
 
-    Raises ValueError when a layer cannot read the values it receives and
-    EvaluationFault at the first layer whose output is not finite; for a
+    Raises ValueError when x is not net.input_dim values or columns of them,
+    and EvaluationFault at the first layer whose output is not finite; for a
     batch, at the first such layer over all columns.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError("input must be a vector or a matrix of column samples")
+    # the CSR kernels read raw buffers and check no shapes
+    if x.shape[0] != net.input_dim:
+        raise ValueError(_input_mismatch(1, net.input_dim, x.shape[0]))
     if x.ndim == 1:
-        out, failure = _forward(net.layers, x, net.depth)
-        if failure is not None:
-            raise failure[1]
-        return out
-    batch = x.shape[1]
-    step = max(1, _BLOCK_ENTRIES // max(net.widths))
-    out = np.empty((net.output_dim, batch))
-    failure = None
-    stop = net.depth
-    # every block runs, but only up to the layer before the first failure
-    # so far; the failure with the smallest layer index is the whole batch's
-    for start in range(0, max(batch, 1), step):
-        block, fail = _forward(net.layers, x[:, start:start + step], stop)
-        if fail is not None:
-            failure, stop = fail, fail[0] - 1
-        elif failure is None:
-            out[:, start:start + step] = block
-    if failure is not None:
-        raise failure[1]
+        out, fault = _forward(net.layers, x, net.depth)
+    else:
+        batch = x.shape[1]
+        step = max(1, _BLOCK_ENTRIES // max(net.widths))
+        out = np.empty((net.output_dim, batch))
+        fault = None
+        # every block runs, but only up to the layer before the first fault
+        # so far; the smallest faulting layer over all blocks is the batch's
+        for start in range(0, max(batch, 1), step):
+            stop = net.depth if fault is None else fault - 1
+            block, fail = _forward(net.layers, x[:, start:start + step], stop)
+            if fail is not None:
+                fault = fail
+            elif fault is None:
+                out[:, start:start + step] = block
+    if fault is not None:
+        raise EvaluationFault(fault)
     return out
 
 
 def _forward(layers, x, stop):
     """Run layers[:stop] on a vector or a column block.
 
-    Return (output, None), or (None, (index, error)) at the first layer
-    that cannot read its input or whose output is not finite.  Every
-    activation carries a trailing row of ones for the bias column of the
-    kernel arrays; the output has none.
+    Return (output, None), or (None, index) at the first layer whose output
+    is not finite.  Every activation carries a trailing row of ones for the
+    bias column of the kernel arrays; the output has none.
     """
     batch = x.shape[1:]
     n = x.shape[0]
@@ -283,15 +286,9 @@ def _forward(layers, x, stop):
     # the screen's sum may overflow on finite values; that is not a fault
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, layer in enumerate(layers[:stop], start=1):
-            rows, cols = layer.weight.shape
-            # the CSR kernels read raw buffers and check no shapes
-            if cols != n:
-                return None, (idx, ValueError(_input_mismatch(idx, cols, n)))
-            if layer.bias.shape[0] != rows:
-                message = f"layer {idx}: bias length {layer.bias.shape[0]} does not match {rows} rows"
-                return None, (idx, ValueError(message))
+            rows, cols = layer.rows, layer.cols
             indptr, indices, data, gain = layer._kernel or layer.kernel_args()
-            x, n = z, rows
+            x = z
             hidden = idx < last
             # the kernel adds b * 1.0 after the row's weighted terms, the
             # same rounding as z + b; it sums from +0.0 and never yields
@@ -310,13 +307,12 @@ def _forward(layers, x, stop):
             if hidden:
                 z[rows] = 1.0
             bound *= gain
-            # past the bound (or when it is NaN) screen the output: any inf or
-            # NaN makes the sum non-finite, and the exact scan runs only then,
-            # so a finite layer whose sum overflows still passes
-            screened = not bound < _FINITE_BOUND
+            # past the bound screen the output: any inf or NaN makes the sum
+            # non-finite, and the exact scan runs only then, so a finite
+            # layer whose sum overflows still passes
+            screened = bound >= _FINITE_BOUND
             if screened and not math.isfinite(z.sum()) and not np.isfinite(z).all():
-                fault = EvaluationFault(idx, "non-finite value in layer output")
-                return None, (idx, fault)
+                return None, idx
             if hidden:
                 # the ones row stays 1 under the ReLU
                 np.maximum(z, 0.0, out=z)
@@ -350,8 +346,6 @@ def stats(net: ReluNetwork) -> NetworkStats:
     )
 
 
-def _input_mismatch(idx: int, cols: int, inputs: int) -> str:
-    return f"layer {idx}: weight expects {cols} inputs but receives {inputs}"
 
 
 
@@ -414,11 +408,6 @@ def network_from_dict(mapping) -> ReluNetwork:
     used, first = np.unique(program, return_index=True)
     if len(used) != len(shapes):
         raise NetworkFormatError(f"the table has {len(shapes)} entries but the program uses {len(used)}")
-    chain = shapes[program]
-    broken = chain[1:, 1] != chain[:-1, 0]
-    if broken.any():
-        k = int(np.argmax(broken))
-        raise NetworkFormatError(_input_mismatch(k + 2, chain[k + 1, 1], chain[k, 0]))
     table = []
     # offsets are Python ints, so no count read from the file can wrap them
     ptr_at = bias_at = entry_at = 0
@@ -464,7 +453,10 @@ def network_from_dict(mapping) -> ReluNetwork:
             raise NetworkFormatError(f"metadata is not valid JSON ({exc})") from exc
         if not isinstance(metadata, dict):
             raise NetworkFormatError(f"metadata is not a JSON object: {text:.60}")
-    return ReluNetwork([table[k] for k in program.tolist()], metadata)
+    try:
+        return ReluNetwork([table[k] for k in program.tolist()], metadata)
+    except ValueError as exc:
+        raise NetworkFormatError(str(exc)) from exc
 
 
 def atomic_write(path, data: bytes) -> None:

@@ -1,8 +1,10 @@
 """Command-line behaviour: reports, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -12,7 +14,8 @@ import numpy as np
 import pytest
 
 import relusolve
-from relusolve.cli import main
+from relusolve import problems
+from relusolve.cli import build_parser, main
 from relusolve.problems import gen_laplacian, read_coo
 
 
@@ -150,7 +153,8 @@ def test_verify_rejects_broken_shape_chain_as_format_error(capsys, tmp_path):
     tamper(path, widen)
     rc, out, err = run_cli(capsys, "verify", "--net", str(path), "--n", "8")
     assert rc == 3
-    assert "layer 2: weight expects" in err
+    # the message of ReluNetwork's chain check, raised as a format error
+    assert re.search(r"layer 2: weight expects \d+ inputs but receives \d+", err)
 
 
 @pytest.mark.parametrize("metadata", [7, [1, 2], "text"])
@@ -195,6 +199,30 @@ def test_verify_rejects_mismatched_problem_size(capsys, tmp_path):
     )
     assert rc == 2
     assert "does not match" in err
+
+
+def test_verify_and_eval_reject_a_different_spectral_bracket(capsys, tmp_path):
+    def build(*bracket):
+        path = tmp_path / f"net-{'-'.join(bracket) or 'default'}.npz"
+        rc, out, err = run_cli(capsys, "build", "--method", "cg", "--problem", "random", "--n", "8",
+                               "--eps", "0.5", *bracket, "--out", str(path))
+        assert rc == 0, err
+        return str(path)
+
+    narrow = build("--lam", "1", "--lam-max", "10")
+    wide = build()
+    for command in ("verify", "eval"):
+        rc, out, err = run_cli(capsys, command, "--net", narrow, "--problem", "random", "--n", "8")
+        assert rc == 2 and out == ""
+        assert "problem bracket [1.0, 100.0] does not match the network's [1.0, 10.0]" in err
+        # a bracket inside the network's would sample only a sliver of its class
+        rc, out, err = run_cli(capsys, command, "--net", wide, "--problem", "random", "--n", "8",
+                               "--lam", "4", "--lam-max", "5")
+        assert rc == 2 and out == ""
+        assert "problem bracket [4.0, 5.0] does not match the network's [1.0, 100.0]" in err
+    rc, out, err = run_cli(capsys, "verify", "--net", narrow, "--problem", "random", "--n", "8",
+                           "--lam", "1", "--lam-max", "10", "--samples", "5")
+    assert rc == 0, err
 
 
 def test_eval_writes_solution_vector(capsys, tmp_path):
@@ -337,6 +365,46 @@ def test_audit_json_report(capsys):
     report = json.loads(out)
     rows = report["results"]["rows"]
     assert len(rows) == 1 and rows[0]["m"] == 6 and rows[0]["flagged"] is False
+
+
+def test_audit_resolves_each_problem_once_per_size(capsys, tmp_path, monkeypatch):
+    coo = tmp_path / "m.coo"
+    rc, _, _ = run_cli(capsys, "gen", "--problem", "laplacian1d", "--n", "6", "--out", str(coo))
+    assert rc == 0
+    calls = []
+    estimate = problems.estimate_extremal_eigs
+    monkeypatch.setattr(problems, "estimate_extremal_eigs",
+                        lambda *args, **kwargs: calls.append(1) or estimate(*args, **kwargs))
+    rc, out, err = run_cli(capsys, "audit", "--problem", f"file:{coo}", "--n", "6,6",
+                           "--eps", "0.5,0.3", "--method", "richardson,cg")
+    assert rc == 0, err
+    assert len(list(csv.DictReader(out.splitlines()))) == 8
+    assert len(calls) == 2
+
+
+def _parser_arguments(command):
+    """The dest of every argument the command's subparser defines."""
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    return {action.dest for action in subparsers.choices[command]._actions if action.dest != "help"}
+
+
+@pytest.mark.parametrize("command", ["gen", "build", "eval", "verify", "audit"])
+def test_every_report_echoes_the_full_parameter_set(capsys, tmp_path, command):
+    net, _ = build_small_net(capsys, tmp_path)
+    argv = {
+        "gen": ["--out", str(tmp_path / "m.coo")],
+        "build": ["--method", "cg", "--n", "8", "--eps", "0.5", "--out", str(tmp_path / "b.npz")],
+        "eval": ["--net", str(net), "--n", "8"],
+        "verify": ["--net", str(net), "--n", "8", "--samples", "1"],
+        "audit": ["--n", "8", "--eps", "0.5", "--method", "cg", "--format", "json"],
+    }[command]
+    rc, out, err = run_cli(capsys, command, *argv)
+    assert rc == 0, err
+    report = json.loads(out)
+    assert set(report["parameters"]) == _parser_arguments(command)
+    assert report["durations"]["total_s"] > 0
+    assert report["peak_rss_mb"] > 0
 
 
 def test_exit_codes_for_common_failures(capsys, tmp_path):
