@@ -44,7 +44,6 @@ from .network import (
 )
 from .problems import (
     CooFormatError,
-    EigenEstimationError,
     FemProblem,
     estimate_extremal_eigs,
     gen_laplacian,
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChebyshevPlan",
     "CooFormatError",
-    "EigenEstimationError",
     "EvaluationFault",
     "FemProblem",
     "Layer",

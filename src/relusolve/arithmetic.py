@@ -121,14 +121,6 @@ class SparseMatrix:
     def to_dense(self) -> np.ndarray:
         return self.to_csr().toarray()
 
-    def is_value_symmetric(self) -> bool:
-        """True when A[i,j] == A[j,i] wherever both positions are stored."""
-        pat = self.pattern
-        for p, (i, j) in enumerate(pat.positions()):
-            if pat.contains(j, i) and self.values[pat.index_of(j, i)] != self.values[p]:
-                return False
-        return True
-
     def __repr__(self):
         return f"SparseMatrix(n={self.pattern.n}, eta={self.pattern.eta})"
 

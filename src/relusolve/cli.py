@@ -5,7 +5,10 @@ Exit codes: 0 success, 1 verification failure, 2 invalid arguments
 file-format failure.  All commands are deterministic given --seed, and
 every JSON report echoes the command's full parameter set and gives
 durations.total_s and peak_rss_mb.  eval and verify take a network only
-with the problem size and spectral bracket it was built for.
+with the problem size and spectral bracket it was built for.  A file:<path>
+operator's bracket is the extremes of one dense eigensolve, widened by
+EIG_FOLD; an operator too ill-conditioned for the fold to cover the
+eigensolve's error is refused (exit 2).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import resource
 import sys
 import time
@@ -33,7 +37,6 @@ from .network import (
 )
 from .problems import (
     CooFormatError,
-    EigenEstimationError,
     gen_laplacian,
     random_rhs,
     random_spd,
@@ -50,9 +53,9 @@ from .solvers import (
     build_richardson_net,
 )
 
-EIG_TOL = 1e-6
-# estimated spectral bounds are folded conservatively so they still bracket
-EIG_FOLD = 10.0 * EIG_TOL
+# relative widening of an eigensolve's extremes into a bracket; it covers the
+# eigensolve's error of about n * 2**-52 * Lam while that stays below EIG_FOLD * lam
+EIG_FOLD = 1e-5
 
 
 def _emit_report(report: dict, out_path=None) -> None:
@@ -90,9 +93,15 @@ def _resolve_problem(problem: str, n: int, seed: int, lam=None, lam_max=None):
 def _estimate_bracket(matrix: SparseMatrix):
     from .problems import estimate_extremal_eigs
 
-    lam_est, Lam_est = estimate_extremal_eigs(matrix, tol=EIG_TOL)
+    lam_est, Lam_est = estimate_extremal_eigs(matrix)
     if lam_est <= 0.0:
         raise ValueError("matrix is not positive definite (estimated lam <= 0)")
+    relative_error = matrix.pattern.n * 2.0**-52 * Lam_est / lam_est
+    if relative_error > EIG_FOLD:
+        raise ValueError(
+            f"matrix too ill-conditioned to bracket: the eigensolve's relative error "
+            f"n * 2**-52 * kappa = {relative_error:.3g} exceeds the fold {EIG_FOLD}"
+        )
     return lam_est * (1.0 - EIG_FOLD), Lam_est * (1.0 + EIG_FOLD)
 
 
@@ -162,19 +171,39 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _finite(kind):
+    """A check that a value is a finite number of the given kind, and not a bool."""
+    return lambda value: (isinstance(value, kind) and not isinstance(value, bool)
+                          and math.isfinite(value))
+
+
+# the solver metadata eval and verify read, with the check each value must pass
+_METADATA = {
+    "method": lambda value: value in METHODS,
+    **dict.fromkeys(("n", "eta", "m"), _finite(int)),
+    **dict.fromkeys(("lambda", "Lambda", "epsilon", "c_sc"), _finite((int, float))),
+}
+
+
 def _load_for_problem(args, durations: dict):
     """Load args.net and resolve the problem flags it must have been built for.
 
-    The problem must have the network's size and, exactly, its spectral
-    bracket.  The load time is recorded in durations["load_s"].
+    The network's solver metadata must be present and well typed, and the
+    problem must have its size and, exactly, its spectral bracket.  The load
+    time is recorded in durations["load_s"].
     """
     t0 = time.perf_counter()
     net = load_network(args.net)
     durations["load_s"] = time.perf_counter() - t0
     meta = net.metadata
-    required = ("method", "n", "eta", "lambda", "Lambda", "epsilon", "c_sc", "m")
-    if not isinstance(meta, dict) or any(key not in meta for key in required):
+    if not isinstance(meta, dict) or any(key not in meta for key in _METADATA):
         raise ValueError("network metadata missing or incomplete; rebuild with this tool")
+    for key, valid in _METADATA.items():
+        if not valid(meta[key]):
+            raise ValueError(
+                f"network metadata {key!r} has the invalid value {meta[key]!r}; "
+                "rebuild with this tool"
+            )
     pattern, matrix, spec, desc = _resolve_problem(
         args.problem, args.n, args.seed, args.lam, args.lam_max
     )
@@ -407,9 +436,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except EigenEstimationError as exc:
-        print(f"error: {exc} (partial estimates {exc.lam_est}, {exc.Lam_est})", file=sys.stderr)
-        return 2
     except (ValueError, EvaluationFault) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

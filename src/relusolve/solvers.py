@@ -90,7 +90,7 @@ class SolverConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.c_sc < 1.0:
+        if not self.c_sc >= 1.0:
             raise ValueError("c_sc must be at least 1")
 
     def validate_against(self, spec: SpectralClass) -> None:
@@ -107,7 +107,7 @@ class SolverConfig:
 def _step_count(eps: float, c_sc: float, rho: float, factor: float) -> int:
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    if c_sc < 1.0:
+    if not c_sc >= 1.0:
         raise ValueError("c_sc must be at least 1")
     if not 0.0 <= rho < 1.0:
         raise ValueError("rho must lie in [0, 1)")

@@ -15,8 +15,9 @@ import pytest
 
 import relusolve
 from relusolve import problems
-from relusolve.cli import build_parser, main
-from relusolve.problems import gen_laplacian, read_coo
+from relusolve.arithmetic import SparseMatrix, SparsityPattern
+from relusolve.cli import _resolve_problem, build_parser, main
+from relusolve.problems import gen_laplacian, read_coo, write_coo
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +167,26 @@ def test_verify_rejects_metadata_that_is_not_an_object(capsys, tmp_path, metadat
     assert "metadata is not a JSON object" in err
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("epsilon", "0.5"), ("c_sc", None), ("m", [1]), ("method", "sor"), ("n", True),
+     ("eta", 22.0), ("lambda", float("nan")), ("Lambda", float("inf"))],
+)
+def test_eval_and_verify_reject_mistyped_metadata(capsys, tmp_path, key, value):
+    path, _ = build_small_net(capsys, tmp_path)
+
+    def retype(arrays):
+        meta = json.loads(arrays["metadata"].item())
+        meta[key] = value
+        arrays["metadata"] = np.array(json.dumps(meta))
+
+    tamper(path, retype)
+    for command in ("eval", "verify"):
+        rc, out, err = run_cli(capsys, command, "--net", str(path), "--n", "8")
+        assert rc == 2 and out == ""
+        assert f"network metadata {key!r} has the invalid value" in err
+
+
 def test_verify_loads_a_deep_network_in_a_4_gb_address_space(capsys, tmp_path):
     # richardson n=32, eps=0.1: 14,566 positions over 24 distinct layers
     path, report = build_small_net(capsys, tmp_path, eps="0.1", n="32")
@@ -312,6 +333,56 @@ def test_build_from_coo_file_estimates_spectrum(capsys, tmp_path):
     assert rc == 0
 
 
+def test_file_problem_brackets_an_ill_conditioned_operator(tmp_path):
+    # the 1-d Laplacian at n=400, shifted down to kappa = 1e5
+    fem = gen_laplacian(1, 400)
+    shift = (fem.spectral.Lam - 1e5 * fem.spectral.lam) / (1e5 - 1)
+    values = fem.matrix.values.copy()
+    values[fem.pattern.diagonal_positions()] += shift
+    coo = tmp_path / "shifted.coo"
+    write_coo(coo, SparseMatrix(fem.pattern, values))
+    _, _, spec, _ = _resolve_problem(f"file:{coo}", 0, 0)
+    assert spec.lam <= fem.spectral.lam + shift <= fem.spectral.Lam + shift <= spec.Lam
+    assert abs(spec.kappa / 1e5 - 1.0) <= 1e-4
+
+
+def test_file_problem_bracket_is_bit_identical_across_resolutions(tmp_path):
+    # eval and verify demand the exact bracket a network was built with
+    coo = tmp_path / "lap2d.coo"
+    write_coo(coo, gen_laplacian(2, 4).matrix)
+    first = _resolve_problem(f"file:{coo}", 0, 0)[2]
+    assert _resolve_problem(f"file:{coo}", 0, 0)[2] == first
+    env = {**os.environ, "PYTHONPATH": str(Path(relusolve.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "relusolve.cli", "gen", "--problem", f"file:{coo}",
+         "--out", str(tmp_path / "copy.coo")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert (results["lambda"], results["Lambda"]) == (first.lam, first.Lam)
+
+
+@pytest.mark.parametrize(
+    "eigenvalues,needle",
+    [
+        # n * 2**-52 * kappa = 1.3e-3 is far above the 1e-5 fold
+        ([1e-12, 0.2, 0.4, 0.6, 0.8, 1.0], "too ill-conditioned to bracket"),
+        ([-1.0, 0.2, 0.4, 0.6, 0.8, 1.0], "not positive definite"),
+    ],
+)
+def test_file_problem_refuses_a_bracket_it_cannot_vouch_for(capsys, tmp_path, eigenvalues, needle):
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(6, 6)))
+    dense = (q * eigenvalues) @ q.T
+    coo = tmp_path / "a.coo"
+    full = SparsityPattern([tuple(range(6))] * 6)
+    write_coo(coo, SparseMatrix(full, ((dense + dense.T) / 2.0).ravel()))
+    rc, out, err = run_cli(capsys, "build", "--method", "richardson", "--problem", f"file:{coo}",
+                           "--out", str(tmp_path / "net.npz"))
+    assert rc == 2 and out == ""
+    assert needle in err
+
+
 def test_audit_csv_table(capsys, tmp_path):
     out_path = tmp_path / "audit.csv"
     rc, out, err = run_cli(
@@ -412,6 +483,10 @@ def test_exit_codes_for_common_failures(capsys, tmp_path):
         capsys, "build", "--method", "richardson", "--eps", "1.5", "--out", str(tmp_path / "x.json")
     )
     assert rc == 2 and "epsilon" in err
+    rc, out, err = run_cli(
+        capsys, "build", "--method", "cg", "--c-sc", "nan", "--out", str(tmp_path / "x.json")
+    )
+    assert rc == 2 and "c_sc must be at least 1" in err
     rc, out, err = run_cli(capsys, "verify", "--net", str(tmp_path / "missing.json"))
     assert rc == 3
     broken = tmp_path / "broken.json"

@@ -2,16 +2,19 @@
 
 import math
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relusolve
 from conftest import diagonal_pattern, tridiagonal_pattern
 from relusolve.arithmetic import SparseMatrix, SparsityPattern
 from relusolve.problems import (
     CooFormatError,
-    EigenEstimationError,
-    _power_extreme,
     estimate_extremal_eigs,
     gen_laplacian,
     random_rhs,
@@ -99,6 +102,8 @@ def test_random_rhs_norm_and_determinism():
     assert np.array_equal(r, random_rhs(10, 2.0, 0.25, seed=5))
     with pytest.raises(ValueError, match="c_sc"):
         random_rhs(4, 0.5, 1.0, seed=0)
+    with pytest.raises(ValueError, match="c_sc"):
+        random_rhs(4, math.nan, 1.0, seed=0)
     with pytest.raises(ValueError, match="lam"):
         random_rhs(4, 1.0, 0.0, seed=0)
 
@@ -122,13 +127,16 @@ def test_estimate_extremal_eigs_rejects_asymmetric():
         estimate_extremal_eigs(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-def test_power_iteration_reports_non_convergence():
-    A = np.diag([1.0, 2.0, 3.0])
-    rng = np.random.default_rng(0)
-    theta, ok = _power_extreme(lambda v: A @ v, 3, 1e-12, rng, max_iter=1, restarts=0)
-    assert not ok
-    err = EigenEstimationError("no convergence", theta, 3.0)
-    assert err.lam_est == theta and err.Lam_est == 3.0
+def test_estimate_extremal_eigs_checks_values_on_a_symmetric_pattern():
+    pat = tridiagonal_pattern(3)
+    vals = [2.0, -1.0, -1.0, 2.0, -1.0, -1.0, 2.0]
+    lam, Lam = estimate_extremal_eigs(SparseMatrix(pat, vals))
+    assert abs(lam - (2.0 - math.sqrt(2.0))) <= 1e-15 and abs(Lam - (2.0 + math.sqrt(2.0))) <= 1e-15
+    vals[1] = 5.0
+    with pytest.raises(ValueError, match="symmetric"):
+        estimate_extremal_eigs(SparseMatrix(pat, vals))
+    with pytest.raises(ValueError, match="symmetric"):
+        estimate_extremal_eigs(SparseMatrix(SparsityPattern([(0, 1), (1,)]), [1.0, 0.0, 1.0]))
 
 
 def test_coo_round_trip_is_exact(tmp_path):
@@ -183,6 +191,7 @@ def test_coo_accepts_comments_and_blank_lines(tmp_path):
         ("2 2\n1 1 1.0\n1 1 2.0\n", "line 3: duplicate entry"),
         ("2 2\n1 1 1.0\n", "announces 2 entries but file has 1"),
         ("2 2\n1 1 1.0\n1 2 1.0\n", "row 2 has no entries"),
+        ("3 2\n1 1 1.0\n2 2 1.0\n", "header announces 2 entries for n=3; every row needs one"),
     ],
 )
 def test_coo_error_reporting(tmp_path, text, needle):
@@ -191,6 +200,26 @@ def test_coo_error_reporting(tmp_path, text, needle):
     with pytest.raises(CooFormatError) as exc:
         read_coo(path)
     assert needle in str(exc.value)
+
+
+def test_coo_rejects_a_huge_header_n_before_allocating_rows(tmp_path):
+    # one entry for n = 1e12 rows: building one list per row would exhaust
+    # memory, so the command runs in a child with a bounded address space
+    path = tmp_path / "huge.coo"
+    path.write_text("1000000000000 1\n1 1 1.0\n")
+    limit = 1_000_000_000
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(relusolve.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "relusolve.cli", "build", "--method", "cg", "--problem",
+         f"file:{path}", "--out", str(tmp_path / "net.npz")],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "header announces 1 entries for n=1000000000000; every row needs one" in proc.stderr
 
 
 def test_coo_writer_produces_reparseable_floats(tmp_path):

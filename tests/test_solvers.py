@@ -62,6 +62,8 @@ def test_step_count_validation():
             fn(0.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             fn(0.5, 0.5, 0.5)
+        with pytest.raises(ValueError, match="c_sc must be at least 1"):
+            fn(0.5, math.nan, 0.5)
         with pytest.raises(ValueError):
             fn(0.5, 1.0, 1.0)
 
@@ -85,6 +87,8 @@ def test_solver_config_validation():
         SolverConfig("cg", 1.5)
     with pytest.raises(ValueError, match="c_sc"):
         SolverConfig("cg", 0.1, 0.5)
+    with pytest.raises(ValueError, match="c_sc must be at least 1"):
+        SolverConfig("cg", 0.1, math.nan)
 
 
 def test_solver_config_admissible_scale_ranges():
