@@ -67,7 +67,15 @@ def _emit_report(report: dict, out_path=None) -> None:
 
 
 def _resolve_problem(problem: str, n: int, seed: int, lam=None, lam_max=None):
-    """Return (pattern, matrix, spectral, description) for the problem flags."""
+    """Return (pattern, matrix, spectral, description) for the problem flags.
+
+    lam and lam_max set the bracket of the random problem only; every other
+    problem brings its own, so either one given with it is an error.
+    """
+    if problem != "random" and (lam is not None or lam_max is not None):
+        raise ValueError(
+            f"--lam and --lam-max apply only to --problem random, not {problem!r}"
+        )
     if problem == "laplacian1d":
         fem = gen_laplacian(1, n)
         return fem.pattern, fem.matrix, fem.spectral, {"problem": problem, "N": n}

@@ -128,19 +128,8 @@ class Layer:
             w, b = self.weight, self.bias
             kernel = (w.indptr, w.indices, w.data)
             if b.any():
-                has = b != 0.0
-                indptr = w.indptr.copy()
-                indptr[1:] += np.cumsum(has, dtype=indptr.dtype)
-                ends = indptr[1:][has] - 1
-                is_weight = np.ones(indptr[-1], dtype=bool)
-                is_weight[ends] = False
-                indices = np.empty(indptr[-1], dtype=indptr.dtype)
-                indices[is_weight] = w.indices
-                indices[ends] = w.shape[1]
-                data = np.empty(indptr[-1])
-                data[is_weight] = w.data
-                data[ends] = b[has]
-                kernel = (indptr, indices, data)
+                wb = sp.hstack([w, sp.csr_matrix(b[:, None])], format="csr")
+                kernel = (wb.indptr, wb.indices, wb.data)
                 for arr in kernel:
                     arr.flags.writeable = False
             indptr, _, data = kernel
@@ -344,11 +333,6 @@ def stats(net: ReluNetwork) -> NetworkStats:
         input_dim=net.input_dim,
         output_dim=net.output_dim,
     )
-
-
-
-
-
 
 
 def network_to_dict(net: ReluNetwork) -> dict:

@@ -1,14 +1,22 @@
 """End-to-end ReLU solver networks for sparse SPD systems.
 
-Two builders share one skeleton: an exact affine rescale layer, m (or m+1)
-step networks chained by sparse concatenation, and an exact affine output
-layer.  Both steps also share one body: identity channels on the matrix
+Both builders are one call into _build, the skeleton the methods share: the
+checks, the exact affine net when kappa == 1, else an exact affine rescale
+layer, m (or m+1) step networks chained by sparse concatenation, and an
+exact affine output layer.  The rescale writes B^v = b_diag I + b_scale A
+over the pattern and r_scale r at state offset r_at; the output reads
+x_scale * state[x_at : x_at + n].  Each method's branch sets only those
+numbers, m, delta, z, the steps and its metadata extras: Richardson's
+B^v = I - omega A, r_scale = omega and x the running sum; cg's
+B^v = sigma0 I - (slope/Lam) A, r_scale = 1/Lam and x = final_scale b_0.
+
+Both steps also share one body: identity channels on the matrix
 values, a matvec, and an exact carry member beside them.  The Richardson
 step is that body, mapping (A, r, c) to (A, Ar, r + c) with a scale_add
 carry; the cg-type step runs the Clenshaw recurrence
 b_k = alpha_k r + 2 B b_next - b_nextnext against the Chebyshev
 coefficients of the optimal solver polynomial, with identity carries and
-the combination C(alpha_k) fused into the body's last layer.  build_cg_net
+the combination C(alpha_k) fused into the body's last layer.  The cg branch
 builds the body once, so the m steps share every layer but the fused one.
 Both networks take the concatenation (A^v, r) of matrix values and
 right-hand side as input and approximate A^{-1} r to the configured
@@ -252,36 +260,74 @@ def clenshaw_step_net(
     return _fuse_combination(_clenshaw_body(pattern, delta, z), pattern, alpha_bar)
 
 
-def _prologue(method, pattern: SparsityPattern, spec: SpectralClass, config: SolverConfig):
-    """Shared argument checks; the exact affine solver net when kappa == 1, else None."""
+def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: SolverConfig):
+    """The solver skeleton both builders share, as the module docstring describes.
+
+    The rescale layer leaves every state block but B^v and the rhs block at
+    zero.  Metadata keys keep their order: the JSON text is part of the file.
+    """
     if config.method != method:
         raise ValueError(f"config.method must be {method!r}")
     if not pattern.has_full_diagonal():
         raise ValueError("pattern must contain every diagonal position")
     config.validate_against(spec)
-    if spec.kappa != 1.0:
-        return None
-    # kappa = 1 means A = lam * I on the spectrum, so x = r / lam exactly
     n, eta = pattern.n, pattern.eta
     idx = np.arange(n)
-    layer = make_layer((n, eta + n), idx, eta + idx, np.full(n, 1.0 / spec.lam))
-    return ReluNetwork([layer], metadata=_header(method, pattern, spec, config, 0))
-
-
-def _header(method, pattern, spec, config, m, **extra):
     meta = {
         "method": method,
-        "n": pattern.n,
-        "eta": pattern.eta,
+        "n": n,
+        "eta": eta,
         "lambda": spec.lam,
         "Lambda": spec.Lam,
         "epsilon": config.epsilon,
         "c_sc": config.c_sc,
-        "m": m,
+        "m": 0,
         "kappa": spec.kappa,
     }
-    meta.update(extra)
-    return meta
+    if spec.kappa == 1.0:
+        # kappa = 1 means A = lam * I on the spectrum, so x = r / lam exactly
+        layer = make_layer((n, eta + n), idx, eta + idx, np.full(n, 1.0 / spec.lam))
+        return ReluNetwork([layer], metadata=meta)
+    if method == "richardson":
+        omega = spec.omega
+        m = m_richardson(config.epsilon, config.c_sc, rho_alpha(spec, 1.0))
+        delta = config.epsilon / (2.0 * m * m)
+        z = float(m + 3)
+        steps = [richardson_step_net(pattern, delta, z)] * (m + 1)
+        # state (B^v, v, c): B^v = I - omega A, v = omega r, c = 0; x = c
+        b_diag, b_scale, r_scale, r_at = 1.0, -omega, omega, eta
+        x_scale, x_at = 1.0, eta + n
+        extra = {"omega": omega}
+    else:
+        m = m_cg(config.epsilon, config.c_sc, rho_alpha(spec, 0.5))
+        plan = cheb_plan(m, spec)
+        delta = config.epsilon / (2.0 * (m + 1) ** 2 * max(1.0, abs(plan.final_scale)))
+        z = 3.0 * m * m
+        # one body for all m steps; only the fused output layer depends on alpha_bar
+        body = _clenshaw_body(pattern, delta, z)
+        steps = [_fuse_combination(body, pattern, plan.coeffs[k]) for k in range(m - 1, -1, -1)]
+        # state (B^v, b_next, b_nextnext, rhat): B^v = sigma0 I - (slope/Lam) A,
+        # rhat = r / Lam, Clenshaw carries start at zero; x = final_scale * b_0
+        slope = 2.0 * spec.kappa / (spec.kappa - 1.0)
+        b_diag, b_scale, r_scale, r_at = plan.sigma0, -slope / spec.Lam, 1.0 / spec.Lam, eta + 2 * n
+        x_scale, x_at = plan.final_scale, eta
+        extra = {"sigma0": plan.sigma0, "final_scale": plan.final_scale}
+    width = steps[0].input_dim
+    p = np.arange(eta)
+    bias = np.zeros(width)
+    bias[pattern.diagonal_positions()] = b_diag
+    pre = make_layer(
+        (width, eta + n),
+        np.concatenate([p, r_at + idx]),
+        np.concatenate([p, eta + idx]),
+        np.concatenate([np.full(eta, b_scale), np.full(n, r_scale)]),
+        bias,
+    )
+    post = make_layer((n, width), idx, x_at + idx, np.full(n, x_scale))
+    net = pipeline([ReluNetwork([pre])] + steps + [ReluNetwork([post])])
+    meta.update(m=m, **extra, delta=delta, z=z)
+    net.metadata = meta
+    return net
 
 
 def build_richardson_net(
@@ -293,29 +339,7 @@ def build_richardson_net(
     symmetric A in the pattern class with spectrum in [lam, Lam] and
     ||r||_2 <= c_sc * lam the output is within epsilon of A^{-1} r.
     """
-    exact = _prologue("richardson", pattern, spec, config)
-    if exact is not None:
-        return exact
-    n, eta = pattern.n, pattern.eta
-    omega = spec.omega
-    m = m_richardson(config.epsilon, config.c_sc, rho_alpha(spec, 1.0))
-    delta = config.epsilon / (2.0 * m * m)
-    z = float(m + 3)
-    step = richardson_step_net(pattern, delta, z)
-    # rescale layer: A^v -> I - omega A over the pattern, r -> omega r, c = 0
-    rows = list(range(eta)) + [eta + i for i in range(n)]
-    cols = list(range(eta)) + [eta + i for i in range(n)]
-    vals = [-omega] * eta + [omega] * n
-    bias = np.zeros(eta + 2 * n)
-    bias[pattern.diagonal_positions()] = 1.0
-    pre = ReluNetwork([make_layer((eta + 2 * n, eta + n), rows, cols, vals, bias)])
-    idx = np.arange(n)
-    post = ReluNetwork([make_layer((n, eta + 2 * n), idx, eta + n + idx, np.ones(n))])
-    net = pipeline([pre] + [step] * (m + 1) + [post])
-    net.metadata = _header(
-        "richardson", pattern, spec, config, m, omega=omega, delta=delta, z=z
-    )
-    return net
+    return _build("richardson", pattern, spec, config)
 
 
 def build_cg_net(
@@ -326,43 +350,7 @@ def build_cg_net(
     Same input/output contract as build_richardson_net, with the step count
     driven by rho_{1/2} instead of rho_1.
     """
-    exact = _prologue("cg", pattern, spec, config)
-    if exact is not None:
-        return exact
-    n, eta = pattern.n, pattern.eta
-    m = m_cg(config.epsilon, config.c_sc, rho_alpha(spec, 0.5))
-    plan = cheb_plan(m, spec)
-    delta = config.epsilon / (2.0 * (m + 1) ** 2 * max(1.0, abs(plan.final_scale)))
-    z = 3.0 * m * m
-    # one body for all m steps; only the fused output layer depends on alpha_bar
-    body = _clenshaw_body(pattern, delta, z)
-    steps = [_fuse_combination(body, pattern, plan.coeffs[k]) for k in range(m - 1, -1, -1)]
-    # rescale layer: B^v = sigma0 I - (slope/Lam) A over the pattern,
-    # rhat = r / Lam, Clenshaw carries start at zero
-    slope = 2.0 * spec.kappa / (spec.kappa - 1.0)
-    rows = list(range(eta)) + [eta + 2 * n + i for i in range(n)]
-    cols = list(range(eta)) + [eta + i for i in range(n)]
-    vals = [-slope / spec.Lam] * eta + [1.0 / spec.Lam] * n
-    bias = np.zeros(eta + 3 * n)
-    bias[pattern.diagonal_positions()] = plan.sigma0
-    pre = ReluNetwork([make_layer((eta + 3 * n, eta + n), rows, cols, vals, bias)])
-    idx = np.arange(n)
-    post = ReluNetwork(
-        [make_layer((n, eta + 3 * n), idx, eta + idx, np.full(n, plan.final_scale))]
-    )
-    net = pipeline([pre] + steps + [post])
-    net.metadata = _header(
-        "cg",
-        pattern,
-        spec,
-        config,
-        m,
-        sigma0=plan.sigma0,
-        final_scale=plan.final_scale,
-        delta=delta,
-        z=z,
-    )
-    return net
+    return _build("cg", pattern, spec, config)
 
 
 @dataclass(frozen=True)

@@ -246,6 +246,31 @@ def test_verify_and_eval_reject_a_different_spectral_bracket(capsys, tmp_path):
     assert rc == 0, err
 
 
+@pytest.mark.parametrize("command", ["gen", "build", "eval", "verify", "audit"])
+@pytest.mark.parametrize("problem", ["laplacian1d", "laplacian2d", "file"])
+def test_lam_flags_are_refused_for_a_problem_that_brings_its_bracket(
+    capsys, tmp_path, command, problem
+):
+    if problem == "file":
+        coo = tmp_path / "lap.coo"
+        write_coo(coo, gen_laplacian(1, 8).matrix)
+        problem = f"file:{coo}"
+    out_path = tmp_path / "out"
+    net = str(build_small_net(capsys, tmp_path)[0]) if command in ("eval", "verify") else None
+    argv = {
+        "gen": ["--out", str(out_path)],
+        "build": ["--method", "cg", "--eps", "0.5", "--out", str(out_path)],
+        "eval": ["--net", net, "--out", str(out_path)],
+        "verify": ["--net", net],
+        "audit": ["--eps", "0.5", "--method", "cg", "--out", str(out_path)],
+    }[command]
+    for bracket in (["--lam", "5"], ["--lam-max", "2"], ["--lam", "5", "--lam-max", "2"]):
+        rc, out, err = run_cli(capsys, command, "--problem", problem, "--n", "8", *bracket, *argv)
+        assert rc == 2 and out == "", err
+        assert "--lam and --lam-max apply only to --problem random" in err
+        assert not out_path.exists()
+
+
 def test_eval_writes_solution_vector(capsys, tmp_path):
     path, _ = build_small_net(capsys, tmp_path)
     out_path = tmp_path / "x.txt"

@@ -321,6 +321,18 @@ def assert_same_layers(back, net):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def assert_frozen_file(tmp_path, net, digest):
+    """net saves to a file of the given sha256, twice alike, and loads back unchanged."""
+    path = tmp_path / "net.npz"
+    save_network(net, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    save_network(net, tmp_path / "again.npz")
+    assert (tmp_path / "again.npz").read_bytes() == path.read_bytes()
+    back = load_network(path)
+    assert_same_layers(back, net)
+    assert back.metadata == net.metadata
+
+
 @pytest.mark.parametrize(
     "method, build, digest",
     [
@@ -332,15 +344,22 @@ def assert_same_layers(back, net):
 )
 def test_saved_file_bytes_are_frozen(tmp_path, method, build, digest):
     fem = gen_laplacian(1, 4)
-    net = build(fem.pattern, fem.spectral, SolverConfig(method, 0.5))
-    path = tmp_path / "net.npz"
-    save_network(net, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-    save_network(net, tmp_path / "again.npz")
-    assert (tmp_path / "again.npz").read_bytes() == path.read_bytes()
-    back = load_network(path)
-    assert_same_layers(back, net)
-    assert back.metadata == net.metadata
+    assert_frozen_file(tmp_path, build(fem.pattern, fem.spectral, SolverConfig(method, 0.5)), digest)
+
+
+@pytest.mark.parametrize(
+    "method, build, digest",
+    [
+        ("richardson", build_richardson_net,
+         "4738bcabaaa48da6ca06e9aaa5ca780e510028a5efcf9ee242a93f2fa687368d"),
+        ("cg", build_cg_net,
+         "8565ab5c84f506958ac59d87497828450b7b1edb12542bcf748d6b6c240069ea"),
+    ],
+)
+def test_saved_file_bytes_are_frozen_on_a_2d_pattern(tmp_path, method, build, digest):
+    # the 5-point stencil of a 3 x 3 grid: diagonal positions at no regular stride
+    fem = gen_laplacian(2, 3)
+    assert_frozen_file(tmp_path, build(fem.pattern, fem.spectral, SolverConfig(method, 0.5)), digest)
 
 
 def _valid_net():
