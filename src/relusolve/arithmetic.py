@@ -8,6 +8,15 @@ at the same input scale, which keeps net(0, y) = net(x, 0) = 0 exact: the two
 chains then carry bitwise-identical values, and the summation rows interleave
 each +coefficient with its - partner in adjacent columns so the CSR product
 (which accumulates in ascending column order) cancels them exactly.
+
+A product net is a bank of T identical terms, one per product.  Each layer
+of a term is written once, as a small block, and the bank's layer tiles it
+with sp.kron(sp.identity(T), block), so term p owns the p-th diagonal block
+of rows and columns and no offset is computed by hand.  Two layers are not
+block diagonal: the first reads each term's two inputs through pick, whose
+rows 2p and 2p + 1 select term p's a and b from the net's input, and the
+summation layer kron(groups, term_sum) adds the terms of each output row.
+The (+, -) pair maps are calculus.SPLIT and calculus.MERGE.
 """
 
 from __future__ import annotations
@@ -15,8 +24,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
-from .network import ReluNetwork, make_layer
+from .calculus import MERGE, SPLIT
+from .network import Layer, ReluNetwork
 
 __all__ = [
     "SparseMatrix",
@@ -111,8 +122,6 @@ class SparseMatrix:
         self.values = values
 
     def to_csr(self):
-        import scipy.sparse as sp
-
         cols = np.array([j for row in self.pattern.rows for j in row], dtype=np.int64)
         return sp.csr_matrix(
             (self.values, cols, self.pattern.offsets), shape=(self.pattern.n, self.pattern.n)
@@ -125,106 +134,69 @@ class SparseMatrix:
         return f"SparseMatrix(n={self.pattern.n}, eta={self.pattern.eta})"
 
 
+def _bank(num_terms: int, block):
+    """The layer of a bank of num_terms terms that each apply block."""
+    return sp.kron(sp.identity(num_terms), block, format="csr")
+
+
 def _saw_stage_layers(num_terms: int, s: int, chains: int):
     """Sawtooth stage layers shared by square_net and the product nets.
 
-    Each term runs `chains` interleaved chains (one for square_net; two, u
-    and v, for the product nets) on 4 * chains channels (n1, n2, n3, c),
-    e.g. (n1u, n1v, n2u, n2v, n3u, n3v, cu, cv).  Stage 1 reads the abs
-    layer where term p owns columns from 2 * chains * p on, a (+, -) pair
-    per chain.
+    A term runs `chains` chains (one for square_net; two, u and v, for the
+    product nets) on 4 * chains channels ordered kind-major, kinds n1, n2,
+    n3 and the carry c, e.g. (n1u, n1v, n2u, n2v, n3u, n3v, cu, cv).  Stage
+    1 reads a (+, -) pair per chain and sets every kind to |input| (the
+    carry starts at f_0(u) = u); a later stage sets n1, n2, n3 to
+    g = 2 n1 - 4 n2 + 2 n3 before their ReLU biases and the carry to
+    c - g / 4^(stage-1).
     """
-    width = 4 * chains * num_terms
-    bias = np.zeros((num_terms, 4, chains))
-    bias[:, 1] = -0.5
-    bias[:, 2] = -1.0
-    bias = bias.reshape(-1)
-    layers = []
-    for stage in range(1, s + 1):
-        rows, cols, vals = [], [], []
+    chain = sp.identity(chains, format="csr")
+    bias = np.tile(np.repeat([0.0, -0.5, -1.0, 0.0], chains), num_terms)
+    first = sp.kron(np.ones((4, 1)), sp.kron(chain, [[1.0, 1.0]]))
+    layers = [Layer(_bank(num_terms, first), bias)]
+    for stage in range(2, s + 1):
         q = 4.0 ** (-(stage - 1))
-        for p in range(num_terms):
-            out = 4 * chains * p
-            for side in range(chains):
-                if stage == 1:
-                    src = 2 * chains * p + 2 * side
-                    scols, svals = [src, src + 1], [1.0, 1.0]
-                else:
-                    scols = [out + side, out + chains + side, out + 2 * chains + side]
-                    svals = [2.0, -4.0, 2.0]
-                for kind in range(3):  # n1, n2, n3
-                    rows.extend([out + chains * kind + side] * len(scols))
-                    cols.extend(scols)
-                    vals.extend(svals)
-                # carry c_new = c - (2 n1 - 4 n2 + 2 n3)/4^(stage-1); the
-                # first stage just copies |input| (f_0(u) = u)
-                carry = out + 3 * chains + side
-                if stage == 1:
-                    rows.extend([carry] * 2)
-                    cols.extend(scols)
-                    vals.extend(svals)
-                else:
-                    rows.extend([carry] * 4)
-                    cols.extend([carry] + scols)
-                    vals.extend([1.0, -2.0 * q, 4.0 * q, -2.0 * q])
-        in_width = 2 * chains * num_terms if stage == 1 else width
-        layers.append(make_layer((width, in_width), rows, cols, vals, bias))
+        # rows and columns of one chain's (n1, n2, n3, c)
+        block = [[2.0, -4.0, 2.0, 0.0]] * 3 + [[-2.0 * q, 4.0 * q, -2.0 * q, 1.0]]
+        layers.append(Layer(_bank(num_terms, sp.kron(block, chain)), bias))
     return layers
 
 
+def _readout(s: int) -> np.ndarray:
+    """f_s(|u|) from one chain's last stage (n1, n2, n3, c): c - g / 4^s."""
+    qf = 4.0 ** (-s)
+    return np.array([[-2.0 * qf, 4.0 * qf, -2.0 * qf, 1.0]])
+
+
 def _polarized_sum_net(
-    n_in: int, terms, out_groups, s: int, with_selection: bool
+    n_in: int, a_cols, b_cols, coefs, weight: float, groups, s: int, with_selection: bool
 ) -> ReluNetwork:
     """Bank of paired squaring chains with an exact summation output layer.
 
-    Each term (a_col, a_coef, b_col, b_coef, weight) contributes
-    weight * (f_s(|a+b|) - f_s(|a-b|)) ~ weight * 4ab to its output row, where
-    a = a_coef * x[a_col] and b = b_coef * x[b_col].
+    Term p contributes weight * (f_s(|a+b|) - f_s(|a-b|)) ~ weight * 4ab to
+    each output row whose groups entry in column p is 1, where
+    a = coefs[0] * x[a_cols[p]] and b = coefs[1] * x[b_cols[p]].
     """
-    num_terms = len(terms)
-    layers = []
+    num_terms = len(a_cols)
+    pick = sp.csr_matrix(
+        (np.ones(2 * num_terms), np.column_stack([a_cols, b_cols]).ravel(),
+         np.arange(2 * num_terms + 1)),
+        shape=(2 * num_terms, n_in),
+    )
+    # per term (a, b) -> (u+, u-, v+, v-) with u = a+b, v = a-b
+    ac, bc = coefs
+    pair_abs = [[ac, bc], [-ac, -bc], [ac, -bc], [-ac, bc]]
     if with_selection:
         # two-channel restriction: selected scalars survive ReLU as (+, -) pairs
-        rows, cols, vals = [], [], []
-        for p, (a_col, _, b_col, _, _) in enumerate(terms):
-            base = 4 * p
-            rows.extend([base, base + 1, base + 2, base + 3])
-            cols.extend([a_col, a_col, b_col, b_col])
-            vals.extend([1.0, -1.0, 1.0, -1.0])
-        layers.append(make_layer((4 * num_terms, n_in), rows, cols, vals))
-    # pair-abs layer: per term (u+, u-, v+, v-) with u = a+b, v = a-b
-    rows, cols, vals = [], [], []
-    for p, (a_col, a_coef, b_col, b_coef, _) in enumerate(terms):
-        base = 4 * p
-        if with_selection:
-            a_cols, a_vals = (base, base + 1), (a_coef, -a_coef)
-            b_cols, b_vals = (base + 2, base + 3), (b_coef, -b_coef)
-        else:
-            a_cols, a_vals = (a_col,), (a_coef,)
-            b_cols, b_vals = (b_col,), (b_coef,)
-        for row_off, a_sign, b_sign in ((0, 1.0, 1.0), (1, -1.0, -1.0), (2, 1.0, -1.0), (3, -1.0, 1.0)):
-            r = base + row_off
-            rows.extend([r] * (len(a_cols) + len(b_cols)))
-            cols.extend(a_cols + b_cols)
-            vals.extend([a_sign * v for v in a_vals] + [b_sign * v for v in b_vals])
-    first_width = 4 * num_terms if with_selection else n_in
-    layers.append(make_layer((4 * num_terms, first_width), rows, cols, vals))
+        layers = [Layer(sp.kron(pick, SPLIT)), Layer(_bank(num_terms, sp.kron(pair_abs, MERGE)))]
+    else:
+        layers = [Layer(_bank(num_terms, pair_abs) @ pick)]
     layers.extend(_saw_stage_layers(num_terms, s, chains=2))
-    # summation layer; within a term the columns run n1u, n1v, n2u, n2v,
-    # n3u, n3v, cu, cv so every +/- pair is adjacent and cancels first
-    qf = 4.0 ** (-s)
-    rows, cols, vals = [], [], []
-    for r, group in enumerate(out_groups):
-        for p in group:
-            w = terms[p][4]
-            base = 8 * p
-            rows.extend([r] * 8)
-            cols.extend(range(base, base + 8))
-            vals.extend(
-                [-2.0 * qf * w, 2.0 * qf * w, 4.0 * qf * w, -4.0 * qf * w,
-                 -2.0 * qf * w, 2.0 * qf * w, w, -w]
-            )
-    layers.append(make_layer((len(out_groups), 8 * num_terms), rows, cols, vals))
+    # a term sums f_s(|u|) - f_s(|v|) over its (u, v) chain pairs: the
+    # columns run n1u, n1v, n2u, n2v, n3u, n3v, cu, cv, so every +/- pair
+    # is adjacent and cancels first
+    term_sum = weight * sp.kron(_readout(s), MERGE)
+    layers.append(Layer(sp.kron(groups, term_sum)))
     return ReluNetwork(layers)
 
 
@@ -235,14 +207,9 @@ def square_net(s: int, D: float = 1.0) -> ReluNetwork:
     if D < 1:
         raise ValueError("domain bound must be at least 1")
     D = float(D)
-    layers = [make_layer((2, 1), [0, 1], [0, 0], [1.0 / D, -1.0 / D])]
+    layers = [Layer(SPLIT / D)]
     layers.extend(_saw_stage_layers(1, s, chains=1))
-    qf = 4.0 ** (-s)
-    D2 = D * D
-    layers.append(
-        make_layer((1, 4), [0, 0, 0, 0], [0, 1, 2, 3],
-                   [-2.0 * qf * D2, 4.0 * qf * D2, -2.0 * qf * D2, D2])
-    )
+    layers.append(Layer(D * D * _readout(s)))
     return ReluNetwork(layers)
 
 
@@ -259,8 +226,7 @@ def mult_net(eps: float, D: float = 1.0) -> ReluNetwork:
     D = float(D)
     s = _refinement(math.log2(1.0 / eps) + 2.0 * math.log2(D))
     half = 1.0 / (2.0 * D)
-    terms = [(0, half, 1, half, D * D)]
-    return _polarized_sum_net(2, terms, [[0]], s, with_selection=False)
+    return _polarized_sum_net(2, [0], [1], (half, half), D * D, [[1.0]], s, with_selection=False)
 
 
 def scalar_product_net(k: int, eps: float, z: float = 1.0) -> ReluNetwork:
@@ -277,9 +243,10 @@ def scalar_product_net(k: int, eps: float, z: float = 1.0) -> ReluNetwork:
         raise ValueError("rhs bound must be at least 1")
     z = float(z)
     s = _refinement(math.log2(k * z / eps))
-    half_z = 1.0 / (2.0 * z)
-    terms = [(t, half_z, k + t, 0.5, z) for t in range(k)]
-    return _polarized_sum_net(2 * k, terms, [list(range(k))], s, with_selection=False)
+    terms = np.arange(k)
+    return _polarized_sum_net(
+        2 * k, terms, k + terms, (1.0 / (2.0 * z), 0.5), z, np.ones((1, k)), s, with_selection=False
+    )
 
 
 def sparse_matvec_net(
@@ -301,14 +268,10 @@ def sparse_matvec_net(
     n, eta = pattern.n, pattern.eta
     eps_row = eps / (abs(scale) * math.sqrt(n))
     s = _refinement(math.log2(pattern.chi_max * z / eps_row))
-    half_z = 1.0 / (2.0 * z)
-    weight = scale * z
-    terms = []
-    out_groups = []
-    for i, row in enumerate(pattern.rows):
-        group = []
-        for j in row:
-            group.append(len(terms))
-            terms.append((eta + j, half_z, len(terms), 0.5, weight))
-        out_groups.append(group)
-    return _polarized_sum_net(eta + n, terms, out_groups, s, with_selection=True)
+    # term p is position p = (i, j): it reads r_j and A^v_p and sums into row i
+    positions = np.arange(eta)
+    groups = sp.csr_matrix((np.ones(eta), positions, pattern.offsets), shape=(n, eta))
+    return _polarized_sum_net(
+        eta + n, eta + np.concatenate(pattern.rows), positions, (1.0 / (2.0 * z), 0.5),
+        scale * z, groups, s, with_selection=True,
+    )

@@ -10,6 +10,13 @@ value x is carried as (relu(x), relu(-x)) in adjacent coordinates and
 recombined with a (+1, -1) pair.  Keeping the pair adjacent matters: CSR
 products accumulate in ascending column order, which makes the recombination
 bit-exact and lets downstream constructions cancel paired terms exactly.
+
+Every junction is a Kronecker product with one of two pair maps, SPLIT =
+[[1], [-1]] and MERGE = [[1, -1]]: kron(W, SPLIT) emits each row of W as a
+(+, -) pair (the bias as kron(b, [1, -1])), kron(W, MERGE) reads each
+column of W from a pair, and kron(I_k, SPLIT) and kron(I_k, MERGE) carry
+and recombine k values.  Entries are single products with +-1, so every
+weight is copied exactly.
 """
 
 from __future__ import annotations
@@ -29,15 +36,13 @@ __all__ = [
 ]
 
 
+SPLIT = sp.csr_matrix([[1.0], [-1.0]])
+MERGE = sp.csr_matrix([[1.0, -1.0]])
+
+
 def _recombine_layer(k: int) -> Layer:
     """Read k values back from their interleaved (+, -) pairs."""
-    idx = np.arange(k)
-    return make_layer(
-        (k, 2 * k),
-        np.concatenate([idx, idx]),
-        np.concatenate([2 * idx, 2 * idx + 1]),
-        np.concatenate([np.ones(k), -np.ones(k)]),
-    )
+    return Layer(sp.kron(sp.identity(k), MERGE))
 
 
 def identity_net(k: int, L: int) -> ReluNetwork:
@@ -46,62 +51,35 @@ def identity_net(k: int, L: int) -> ReluNetwork:
         raise ValueError("identity networks need depth at least 2")
     if k < 1:
         raise ValueError("dimension must be positive")
-    idx = np.arange(k)
-    first = make_layer(
-        (2 * k, k),
-        np.concatenate([2 * idx, 2 * idx + 1]),
-        np.concatenate([idx, idx]),
-        np.concatenate([np.ones(k), -np.ones(k)]),
-    )
-    mid_idx = np.arange(2 * k)
-    mid = make_layer((2 * k, 2 * k), mid_idx, mid_idx, np.ones(2 * k))
+    first = Layer(sp.kron(sp.identity(k), SPLIT))
+    mid = Layer(sp.identity(2 * k))
     return ReluNetwork([first] + [mid] * (L - 2) + [_recombine_layer(k)])
 
 
 def affine_net(weight, bias=None) -> ReluNetwork:
     """Depth-1 network computing x -> W x + b exactly."""
-    coo = sp.csr_matrix(weight, dtype=float).tocoo()
-    return ReluNetwork([make_layer(coo.shape, coo.row, coo.col, coo.data, bias)])
+    # a copy: Layer keeps the buffers of a CSR weight, and the caller's stay theirs
+    return ReluNetwork([Layer(sp.csr_matrix(weight, dtype=np.float64, copy=True), bias)])
 
 
 def scale_add_net(alpha: float, n: int) -> ReluNetwork:
     """Depth-2 network on R^n x R^n computing (x, y) -> alpha*x + y exactly."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    alpha = float(alpha)
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        for sign, row in ((1.0, 2 * i), (-1.0, 2 * i + 1)):
-            if alpha != 0.0:
-                rows.append(row)
-                cols.append(i)
-                vals.append(sign * alpha)
-            rows.append(row)
-            cols.append(n + i)
-            vals.append(sign)
-    hidden = make_layer((2 * n, 2 * n), rows, cols, vals)
+    eye = sp.identity(n)
+    # Layer drops the zeros of alpha = 0
+    hidden = Layer(sp.kron(sp.hstack([float(alpha) * eye, eye]), SPLIT))
     return ReluNetwork([hidden, _recombine_layer(n)])
 
 
 def _split_layer(layer: Layer) -> Layer:
     """Duplicate a layer's rows as interleaved (+, -) pairs."""
-    coo = layer.weight.tocoo()
-    rows = np.concatenate([2 * coo.row, 2 * coo.row + 1])
-    cols = np.concatenate([coo.col, coo.col])
-    vals = np.concatenate([coo.data, -coo.data])
-    bias = np.empty(2 * layer.rows)
-    bias[0::2] = layer.bias
-    bias[1::2] = -layer.bias
-    return make_layer((2 * layer.rows, layer.cols), rows, cols, vals, bias)
+    return Layer(sp.kron(layer.weight, SPLIT), np.kron(layer.bias, [1.0, -1.0]))
 
 
 def _merge_first(layer: Layer) -> Layer:
     """Rewrite a layer to read interleaved (+, -) pairs: column j -> (2j, 2j+1)."""
-    coo = layer.weight.tocoo()
-    rows = np.concatenate([coo.row, coo.row])
-    cols = np.concatenate([2 * coo.col, 2 * coo.col + 1])
-    vals = np.concatenate([coo.data, -coo.data])
-    return make_layer((layer.rows, 2 * layer.cols), rows, cols, vals, layer.bias)
+    return Layer(sp.kron(layer.weight, MERGE), layer.bias)
 
 
 def pipeline(stages) -> ReluNetwork:
@@ -167,34 +145,24 @@ def parallelize_shared(nets, col_maps, n_in: int) -> ReluNetwork:
         maps.append(cmap)
     target = max(net.depth for net in nets)
     padded = [_extend_depth(net, target) for net in nets]
-    layers = []
-    for level in range(target):
-        rows, cols, vals, biases = [], [], [], []
-        row_off = 0
-        col_off = 0
-        for member, cmap in zip(padded, maps):
-            layer = member.layers[level]
-            coo = layer.weight.tocoo()
-            rows.append(coo.row + row_off)
-            if level == 0:
-                cols.append(cmap[coo.col])
-            else:
-                cols.append(coo.col + col_off)
-            vals.append(coo.data)
-            biases.append(layer.bias)
-            row_off += layer.rows
-            col_off += layer.cols
-        shape = (row_off, n_in if level == 0 else col_off)
-        layers.append(
-            make_layer(
-                shape,
-                np.concatenate(rows),
-                np.concatenate(cols),
-                np.concatenate(vals),
-                np.concatenate(biases),
-            )
-        )
-    return ReluNetwork(layers)
+    # the first level scatters member columns through the maps; make_layer
+    # refuses a map that makes one row read a column twice
+    heads = [member.layers[0] for member in padded]
+    coos = [head.weight.tocoo() for head in heads]
+    row_at = np.cumsum([0] + [head.rows for head in heads])
+    first = make_layer(
+        (row_at[-1], n_in),
+        np.concatenate([coo.row + at for coo, at in zip(coos, row_at)]),
+        np.concatenate([cmap[coo.col] for coo, cmap in zip(coos, maps)]),
+        np.concatenate([coo.data for coo in coos]),
+        np.concatenate([head.bias for head in heads]),
+    )
+    rest = [
+        Layer(sp.block_diag([layer.weight for layer in level]),
+              np.concatenate([layer.bias for layer in level]))
+        for level in zip(*(member.layers[1:] for member in padded))
+    ]
+    return ReluNetwork([first] + rest)
 
 
 def parallelize(nets) -> ReluNetwork:

@@ -38,9 +38,10 @@ On disk a network is an .npz archive that keeps its sharing: shapes, a
 dense bias of its T distinct layer objects in order of first appearance;
 program, the table index of each position; and metadata, JSON text in a
 0-d string array.  Loading checks each table entry once, its indptr and
-then make_layer, the builders' check, so a stored zero is an error; the
-chain is ReluNetwork's check.  Any defect, from a file that is no .npz
-archive to a broken shape chain, raises NetworkFormatError.
+then make_layer, which checks index ranges and duplicates; a stored zero,
+which make_layer drops, is an error.  The chain is ReluNetwork's check.
+Any defect, from a file that is no .npz archive to a broken shape chain,
+raises NetworkFormatError.
 """
 
 from __future__ import annotations
@@ -87,8 +88,9 @@ class EvaluationFault(RuntimeError):
 class Layer:
     """One affine layer W x + b with sparse W and dense b.
 
-    The constructor checks the layer's contents: weights and bias are
-    finite, and the bias has one entry per row (zeros when None).
+    The constructor drops stored zeros and checks the layer's contents:
+    weights and bias are finite, and the bias has one entry per row (zeros
+    when None).
     make_layer builds a layer from triplets and adds its own index checks.
     """
 
@@ -96,6 +98,10 @@ class Layer:
 
     def __init__(self, weight, bias=None):
         w = sp.csr_matrix(weight, dtype=np.float64)
+        # both rewrite w in place only when needed: the weight of another
+        # layer, read-only, holds no zeros and is sorted already
+        if not w.data.all():
+            w.eliminate_zeros()
         w.sort_indices()
         rows, cols = w.shape
         b = np.zeros(rows) if bias is None else np.array(bias, dtype=np.float64).reshape(-1)

@@ -77,9 +77,6 @@ class SpectralClass:
     def omega(self) -> float:
         return 2.0 / (self.lam + self.Lam)
 
-    def rho(self, alpha: float) -> float:
-        return rho_alpha(self, alpha)
-
 
 def rho_alpha(spec: SpectralClass, alpha: float) -> float:
     """Convergence factor (kappa^alpha - 1)/(kappa^alpha + 1)."""

@@ -1,7 +1,10 @@
 """Combinator exactness and the additive/block size bounds."""
 
+import hashlib
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +17,9 @@ from relusolve.calculus import (
     pipeline,
     scale_add_net,
 )
-from relusolve.network import evaluate, stats
+from relusolve.arithmetic import mult_net, scalar_product_net, sparse_matvec_net, square_net
+from relusolve.network import evaluate, network_to_dict, stats
+from relusolve.problems import gen_laplacian
 
 
 def test_identity_net_is_exact_and_has_two_k_l_weights():
@@ -45,6 +50,11 @@ def test_affine_net_matches_csr_product_exactly():
     assert net.depth == 1
     x = rng.normal(size=4)
     assert np.array_equal(evaluate(net, x), net.layers[0].weight @ x + b)
+    # a CSR weight is copied, not frozen or shared with the layer
+    csr = sp.csr_matrix(W)
+    weight = affine_net(csr, b).layers[0].weight
+    for mine, theirs in ((csr.data, weight.data), (csr.indices, weight.indices), (csr.indptr, weight.indptr)):
+        assert mine.flags.writeable and not np.shares_memory(mine, theirs)
 
 
 def test_affine_net_rejects_non_finite():
@@ -165,6 +175,10 @@ def test_parallelize_shared_argument_validation():
         parallelize_shared([identity_net(2, 2)], [[0]], 2)
     with pytest.raises(ValueError, match="out of range"):
         parallelize_shared([identity_net(1, 2)], [[5]], 2)
+    # a map that sends two member columns to one input column is refused,
+    # not turned into the sum of the two weights
+    with pytest.raises(ValueError, match="duplicate"):
+        parallelize_shared([affine_net([[1.0, 1.0]])], [[0, 0]], 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -187,3 +201,75 @@ def test_identity_property(k, L, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=k) * 100.0
     assert np.array_equal(evaluate(identity_net(k, L), x), x)
+
+
+def _dict_digest(net) -> str:
+    """sha256 over network_to_dict's arrays: name, dtype, shape and bytes of each."""
+    h = hashlib.sha256()
+    for name, arr in sorted(network_to_dict(net).items()):
+        h.update(f"{name} {arr.dtype.str} {arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _small_pipeline():
+    w = np.array([[1.0, 0.0, -2.0], [0.5, 3.0, 0.0]])
+    return pipeline((affine_net(w, [0.25, 0.0]), identity_net(2, 3),
+                     affine_net([[1.0, -1.0]], [1.0]), square_net(2, 2.0)))
+
+
+def _small_parallel():
+    members = [affine_net([[1.0, 0.0, -2.0], [0.5, 3.0, 0.0]], [0.25, 0.0]),
+               mult_net(0.1, 2.0), identity_net(1, 4), scale_add_net(2.0, 1)]
+    return parallelize_shared(members, [[0, 1, 2], [2, 0], [1], [0, 3]], 4)
+
+
+# digests of the nets as built before the bank and junction layers were
+# tiled with sp.kron; the tiling must reproduce every stored array
+FROZEN_NETS = {
+    "square_net(1, 1)": (
+        lambda: square_net(1, 1.0),
+        "ab238fa0cfa5cef17f9ac5355c916f43c600c8ece83f96a66290f86f734c633c"),
+    "square_net(1, 3)": (
+        lambda: square_net(1, 3.0),
+        "1cd05de9eec6576fa0639755d5b2c054cd46effb4989cb66e78f4a13eb72bdfd"),
+    "square_net(5, 1)": (
+        lambda: square_net(5, 1.0),
+        "b875f89908c42a4a0c36c705c824506ec3ca99805d78039407fd4158bc06032d"),
+    "square_net(5, 3)": (
+        lambda: square_net(5, 3.0),
+        "1a5bc67a17f010224b0040bf34d43fddb2e78e871d7c26bf8424abe37864bbed"),
+    "mult_net(1e-2, 4)": (
+        lambda: mult_net(1e-2, 4.0),
+        "cc729ee614907c4d404b4c9da7dff3117bf093506e537d1f6adc82f075c06fe6"),
+    "scalar_product_net(3, 1e-3, 5)": (
+        lambda: scalar_product_net(3, 1e-3, 5.0),
+        "52bcfe9bd9be447e581dbbafc0d6accdaca3af24f0948286ed83df14d902d50c"),
+    "sparse_matvec_net(lap1d 5)": (
+        lambda: sparse_matvec_net(gen_laplacian(1, 5).pattern, 1e-2, 3.0, -2.5),
+        "98e66138304626c65b55de0a6e29035bd7346f81c19b88f82d3666ffd5e69ee5"),
+    "sparse_matvec_net(lap2d 3)": (
+        lambda: sparse_matvec_net(gen_laplacian(2, 3).pattern, 1e-2, 3.0, -2.5),
+        "c2b97dd30de1cd66eefe7769f912f51e7edf875db4066ee79e7a589a51599123"),
+    "identity_net(3, 4)": (
+        lambda: identity_net(3, 4),
+        "46f2722d2eeba5e328dcb71f7f5872f20d02fa417f3a12486501f0577aa7e0d8"),
+    "scale_add_net(0, 3)": (
+        lambda: scale_add_net(0.0, 3),
+        "07ab2ff9b803508ae7f4574af34df11a8052b71517605574825f8c7e3629d179"),
+    "scale_add_net(1.5, 3)": (
+        lambda: scale_add_net(1.5, 3),
+        "9b2aec16bccdd599d0f89dd78a44b0ddead5943732412790510c450d713270c7"),
+    "pipeline": (
+        _small_pipeline,
+        "20c007945e6c7ca4e79858182012f02d843091c4674d15970f0ce9cf6e03a170"),
+    "parallelize_shared": (
+        _small_parallel,
+        "6a08b6ae11d7becad8f52e17ad31149dcaf27c359a7843b5215029b47afec7c8"),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_NETS))
+def test_arithmetic_and_calculus_nets_are_frozen(name):
+    build, digest = FROZEN_NETS[name]
+    assert _dict_digest(build()) == digest

@@ -238,6 +238,19 @@ def test_layer_rejects_non_finite_weight_or_bias(bad):
         Layer(sp.eye(2, format="csr"), bias=[0.0, bad])
 
 
+def test_layer_stores_no_explicit_zero(tmp_path):
+    # a product of nonzero factors can underflow to a stored 0.0; the layer
+    # drops it, so stats does not count it and the saved file loads
+    weight = sp.csr_matrix((np.array([0.0, 2.0]), np.array([0, 1]), np.array([0, 2])), shape=(1, 2))
+    assert weight.nnz == 2
+    layer = Layer(weight)
+    assert layer.weight.nnz == 1
+    assert stats(ReluNetwork([layer])).weights == 1
+    save_network(ReluNetwork([layer]), tmp_path / "net.npz")
+    back = load_network(tmp_path / "net.npz")
+    assert back.layers[0].weight.toarray().tolist() == [[0.0, 2.0]]
+
+
 def test_long_chain_faults_at_the_layer_that_overflows():
     # x -> 2x, 1030 times: 2**k overflows at layer k = 1024, where the
     # bound that lets evaluate skip the screen is long exceeded

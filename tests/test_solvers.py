@@ -33,9 +33,9 @@ def test_spectral_class_derived_quantities():
     spec = SpectralClass(1.0, 9.0)
     assert spec.kappa == 9.0
     assert spec.omega == 0.2
-    assert spec.rho(1.0) == 0.8
-    assert spec.rho(0.5) == 0.5
-    assert SpectralClass(2.0, 2.0).rho(1.0) == 0.0
+    assert rho_alpha(spec, 1.0) == 0.8
+    assert rho_alpha(spec, 0.5) == 0.5
+    assert rho_alpha(SpectralClass(2.0, 2.0), 1.0) == 0.0
 
 
 def test_spectral_class_validation():
