@@ -17,6 +17,11 @@ block diagonal: the first reads each term's two inputs through pick, whose
 rows 2p and 2p + 1 select term p's a and b from the net's input, and the
 summation layer kron(groups, term_sum) adds the terms of each output row.
 The (+, -) pair maps are calculus.SPLIT and calculus.MERGE.
+
+A matrix class is its SparsityPattern, stored as nothing but the CSR
+structure (indptr, indices); a SparseMatrix's value vector A^v is the CSR
+data array on it.  sparse_matvec_net's term p reads r at indices[p], and
+its summation layer groups the terms of row i through indptr.
 """
 
 from __future__ import annotations
@@ -40,70 +45,77 @@ __all__ = [
 
 
 class SparsityPattern:
-    """Sorted per-row column index lists chi_i for an n x n matrix."""
+    """The column sets chi_i of an n x n matrix, held as canonical CSR structure.
 
-    __slots__ = ("rows", "n", "offsets", "_index")
+    indptr (n + 1 entries) and indices (eta entries) are read-only int64
+    arrays: row i's columns are indices[indptr[i]:indptr[i + 1]], strictly
+    increasing.  Value-vector position p is the p-th entry of this row-major
+    order, so A^v is the data array of the CSR matrix.
+    """
 
-    def __init__(self, rows):
-        rows = tuple(tuple(int(j) for j in row) for row in rows)
-        n = len(rows)
+    __slots__ = ("indptr", "indices", "n")
+
+    def __init__(self, indptr, indices):
+        indptr = np.array(indptr, dtype=np.int64).reshape(-1)
+        indices = np.array(indices, dtype=np.int64).reshape(-1)
+        n = len(indptr) - 1
         if n < 1:
             raise ValueError("pattern needs at least one row")
-        for i, row in enumerate(rows):
-            if not row:
-                raise ValueError(f"row {i} has no admissible columns")
-            if any(not 0 <= j < n for j in row):
-                raise ValueError(f"row {i} has a column index out of range")
-            if any(a >= b for a, b in zip(row, row[1:])):
-                raise ValueError(f"row {i} indices are not strictly increasing")
-        self.rows = rows
+        counts = np.diff(indptr)
+        if indptr[0] != 0 or indptr[-1] != len(indices) or (counts < 0).any():
+            raise ValueError(f"indptr must rise from 0 to the {len(indices)} indices")
+        if not counts.all():
+            raise ValueError(f"row {np.argmin(counts)} has no admissible columns")
+        row_of = np.repeat(np.arange(n), counts)
+        outside = (indices < 0) | (indices >= n)
+        if outside.any():
+            raise ValueError(f"row {row_of[np.argmax(outside)]} has a column index out of range")
+        # a row's columns rise; the step into the next row may fall
+        falls = (np.diff(indices) <= 0) & (row_of[1:] == row_of[:-1])
+        if falls.any():
+            raise ValueError(f"row {row_of[np.argmax(falls)]} indices are not strictly increasing")
+        indptr.flags.writeable = indices.flags.writeable = False
+        self.indptr = indptr
+        self.indices = indices
         self.n = n
-        self.offsets = np.concatenate([[0], np.cumsum([len(r) for r in rows])]).astype(np.int64)
-        self._index = None
 
     @property
     def eta(self) -> int:
-        return int(self.offsets[-1])
+        return len(self.indices)
 
     @property
     def chi_max(self) -> int:
-        return max(len(r) for r in self.rows)
+        return int(np.diff(self.indptr).max())
 
-    def row_slice(self, i: int) -> slice:
-        return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
+    def row_of(self) -> np.ndarray:
+        """The row i of every position p = (i, j)."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
-    def positions(self):
-        """Row-major (i, j) pairs; the p-th pair is value-vector position p."""
-        for i, row in enumerate(self.rows):
-            for j in row:
-                yield i, j
+    def transpose_positions(self) -> np.ndarray:
+        """The positions sorted by (j, i).
 
-    def index_of(self, i: int, j: int) -> int:
-        if self._index is None:
-            self._index = {pos: p for p, pos in enumerate(self.positions())}
-        return self._index[(i, j)]
-
-    def contains(self, i: int, j: int) -> bool:
-        if self._index is None:
-            self._index = {pos: p for p, pos in enumerate(self.positions())}
-        return (i, j) in self._index
+        On a symmetric pattern this lists the transpose row-major, so entry
+        p is the position of (j, i) where position p is (i, j).
+        """
+        return np.lexsort((self.row_of(), self.indices))
 
     def has_full_diagonal(self) -> bool:
-        return all(i in row for i, row in enumerate(self.rows))
+        return np.count_nonzero(self.indices == self.row_of()) == self.n
 
     def is_symmetric(self) -> bool:
-        return all(self.contains(j, i) for i, j in self.positions())
+        row_of, t = self.row_of(), self.transpose_positions()
+        return np.array_equal(self.indices[t], row_of) and np.array_equal(row_of[t], self.indices)
 
     def diagonal_positions(self) -> np.ndarray:
-        if not self.has_full_diagonal():
+        positions = np.flatnonzero(self.indices == self.row_of())
+        if len(positions) != self.n:
             raise ValueError("pattern is missing a diagonal entry")
-        return np.array([self.index_of(i, i) for i in range(self.n)], dtype=np.int64)
+        return positions
 
     def __eq__(self, other):
-        return isinstance(other, SparsityPattern) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
+        if not isinstance(other, SparsityPattern):
+            return False
+        return np.array_equal(self.indptr, other.indptr) and np.array_equal(self.indices, other.indices)
 
     def __repr__(self):
         return f"SparsityPattern(n={self.n}, eta={self.eta})"
@@ -122,10 +134,8 @@ class SparseMatrix:
         self.values = values
 
     def to_csr(self):
-        cols = np.array([j for row in self.pattern.rows for j in row], dtype=np.int64)
-        return sp.csr_matrix(
-            (self.values, cols, self.pattern.offsets), shape=(self.pattern.n, self.pattern.n)
-        )
+        pattern = self.pattern
+        return sp.csr_matrix((self.values, pattern.indices, pattern.indptr), shape=(pattern.n, pattern.n))
 
     def to_dense(self) -> np.ndarray:
         return self.to_csr().toarray()
@@ -270,8 +280,8 @@ def sparse_matvec_net(
     s = _refinement(math.log2(pattern.chi_max * z / eps_row))
     # term p is position p = (i, j): it reads r_j and A^v_p and sums into row i
     positions = np.arange(eta)
-    groups = sp.csr_matrix((np.ones(eta), positions, pattern.offsets), shape=(n, eta))
+    groups = sp.csr_matrix((np.ones(eta), positions, pattern.indptr), shape=(n, eta))
     return _polarized_sum_net(
-        eta + n, eta + np.concatenate(pattern.rows), positions, (1.0 / (2.0 * z), 0.5),
+        eta + n, eta + pattern.indices, positions, (1.0 / (2.0 * z), 0.5),
         scale * z, groups, s, with_selection=True,
     )

@@ -58,8 +58,7 @@ def identity_net(k: int, L: int) -> ReluNetwork:
 
 def affine_net(weight, bias=None) -> ReluNetwork:
     """Depth-1 network computing x -> W x + b exactly."""
-    # a copy: Layer keeps the buffers of a CSR weight, and the caller's stay theirs
-    return ReluNetwork([Layer(sp.csr_matrix(weight, dtype=np.float64, copy=True), bias)])
+    return ReluNetwork([Layer(weight, bias)])
 
 
 def scale_add_net(alpha: float, n: int) -> ReluNetwork:

@@ -98,8 +98,9 @@ class Layer:
 
     def __init__(self, weight, bias=None):
         w = sp.csr_matrix(weight, dtype=np.float64)
-        # both rewrite w in place only when needed: the weight of another
-        # layer, read-only, holds no zeros and is sorted already
+        # a CSR weight keeps its arrays through the conversion; copy them so
+        # the caller's stay theirs (copy=True would cost a second constructor)
+        w.data, w.indices, w.indptr = w.data.copy(), w.indices.copy(), w.indptr.copy()
         if not w.data.all():
             w.eliminate_zeros()
         w.sort_indices()

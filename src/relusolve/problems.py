@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .arithmetic import SparseMatrix, SparsityPattern
 from .network import atomic_write
@@ -66,31 +67,14 @@ def gen_laplacian(d: int, N: int) -> FemProblem:
     theta = math.pi / (N + 1)
     ext_min = 2.0 - 2.0 * math.cos(theta)
     ext_max = 2.0 - 2.0 * math.cos(N * theta)
-    if d == 1:
-        rows = [tuple(j for j in (i - 1, i, i + 1) if 0 <= j < N) for i in range(N)]
-        pattern = SparsityPattern(rows)
-        vals = [2.0 if i == j else -1.0 for i, row in enumerate(pattern.rows) for j in row]
-        spec = SpectralClass(ext_min, ext_max)
-    else:
-        rows = []
-        for i in range(N):
-            for j in range(N):
-                p = i * N + j
-                cols = []
-                if i > 0:
-                    cols.append(p - N)
-                if j > 0:
-                    cols.append(p - 1)
-                cols.append(p)
-                if j < N - 1:
-                    cols.append(p + 1)
-                if i < N - 1:
-                    cols.append(p + N)
-                rows.append(tuple(cols))
-        pattern = SparsityPattern(rows)
-        vals = [4.0 if i == j else -1.0 for i, row in enumerate(pattern.rows) for j in row]
+    A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(N, N), format="csr")
+    spec = SpectralClass(ext_min, ext_max)
+    if d == 2:
+        # I (x) T + T (x) I, built from the stored entries only: no zeros
+        A = sp.kronsum(A, A, format="csr")
         spec = SpectralClass(2.0 * ext_min, 2.0 * ext_max)
-    return FemProblem(d, N, pattern, SparseMatrix(pattern, vals), spec)
+    pattern = SparsityPattern(A.indptr, A.indices)
+    return FemProblem(d, N, pattern, SparseMatrix(pattern, A.data), spec)
 
 
 def random_spd(pattern: SparsityPattern, spec: SpectralClass, seed: int) -> SparseMatrix:
@@ -105,28 +89,26 @@ def random_spd(pattern: SparsityPattern, spec: SpectralClass, seed: int) -> Spar
     if not pattern.is_symmetric():
         raise ValueError("pattern must be symmetric")
     rng = np.random.default_rng(seed)
-    n = pattern.n
+    row_of = pattern.row_of()
     values = np.zeros(pattern.eta)
-    radius = np.zeros(n)
     width = spec.Lam - spec.lam
-    # symmetric off-diagonal draw on the upper triangle
-    for i, row in enumerate(pattern.rows):
-        for j in row:
-            if j > i:
-                v = rng.uniform(-1.0, 1.0)
-                values[pattern.index_of(i, j)] = v
-                values[pattern.index_of(j, i)] = v
-                radius[i] += abs(v)
-                radius[j] += abs(v)
+    # symmetric off-diagonal draw on the upper triangle, row-major
+    upper = np.flatnonzero(pattern.indices > row_of)
+    values[upper] = rng.uniform(-1.0, 1.0, size=len(upper))
+    values[pattern.transpose_positions()[upper]] = values[upper]
+    # row i's radius sums |A_ij| in column order (the diagonal is still 0)
+    radius = np.bincount(row_of, weights=np.abs(values), minlength=pattern.n)
     r_max = radius.max()
     if r_max > 0.0:
         scale = 0.4 * width / r_max if width > 0.0 else 0.0
         values *= scale
         radius *= scale
-    for i in range(n):
-        lo = spec.lam + radius[i]
-        hi = spec.Lam - radius[i]
-        values[pattern.index_of(i, i)] = rng.uniform(lo, hi) if hi > lo else lo
+    lo = spec.lam + radius
+    hi = spec.Lam - radius
+    diagonal = lo.copy()
+    drawn = hi > lo
+    diagonal[drawn] = rng.uniform(lo[drawn], hi[drawn])
+    values[pattern.diagonal_positions()] = diagonal
     return SparseMatrix(pattern, values)
 
 
@@ -163,9 +145,9 @@ def estimate_extremal_eigs(A):
 
 def write_coo(path, matrix: SparseMatrix) -> None:
     """Write `n nnz` header then 1-based `i j v` lines, row-major."""
-    lines = [f"{matrix.pattern.n} {matrix.pattern.eta}"]
-    for p, (i, j) in enumerate(matrix.pattern.positions()):
-        lines.append(f"{i + 1} {j + 1} {float(matrix.values[p])!r}")
+    pattern = matrix.pattern
+    entries = zip((pattern.row_of() + 1).tolist(), (pattern.indices + 1).tolist(), matrix.values.tolist())
+    lines = [f"{pattern.n} {pattern.eta}"] + [f"{i} {j} {v!r}" for i, j, v in entries]
     atomic_write(path, ("\n".join(lines) + "\n").encode())
 
 
@@ -212,12 +194,10 @@ def read_coo(path) -> SparseMatrix:
     # every row needs an entry; checked before anything is allocated per row
     if nnz < n:
         raise CooFormatError(f"header announces {nnz} entries for n={n}; every row needs one")
-    rows: list = [[] for _ in range(n)]
-    for (i, j) in sorted(entries):
-        rows[i].append(j)
-    if any(not row for row in rows):
-        empty = next(i for i, row in enumerate(rows) if not row)
-        raise CooFormatError(f"row {empty + 1} has no entries")
-    pattern = SparsityPattern([tuple(r) for r in rows])
-    values = [entries[pos] for pos in pattern.positions()]
-    return SparseMatrix(pattern, values)
+    ij = np.array(list(entries), dtype=np.int64)
+    counts = np.bincount(ij[:, 0], minlength=n)
+    if not counts.all():
+        raise CooFormatError(f"row {np.argmin(counts) + 1} has no entries")
+    order = np.lexsort((ij[:, 1], ij[:, 0]))
+    pattern = SparsityPattern(np.concatenate([[0], np.cumsum(counts)]), ij[order, 1])
+    return SparseMatrix(pattern, np.array(list(entries.values()))[order])

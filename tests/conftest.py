@@ -11,25 +11,26 @@ def weights_of(net) -> int:
     return stats(net).weights
 
 
+def pattern_of(rows) -> SparsityPattern:
+    """The pattern whose row i has the columns rows[i]."""
+    return SparsityPattern(np.cumsum([0] + [len(row) for row in rows]), [j for row in rows for j in row])
+
+
 def diagonal_pattern(n: int) -> SparsityPattern:
-    return SparsityPattern([(i,) for i in range(n)])
+    return pattern_of([(i,) for i in range(n)])
 
 
 def tridiagonal_pattern(n: int) -> SparsityPattern:
-    rows = [tuple(j for j in (i - 1, i, i + 1) if 0 <= j < n) for i in range(n)]
-    return SparsityPattern(rows)
+    return pattern_of([tuple(j for j in (i - 1, i, i + 1) if 0 <= j < n) for i in range(n)])
 
 
 def random_operator(pattern: SparsityPattern, rng, norm_bound: float = 1.0) -> SparseMatrix:
     """Symmetric values on a symmetric pattern, rescaled to ||A||_2 <= norm_bound."""
+    # one draw per (i, j) with j >= i, row-major, mirrored onto (j, i)
+    upper = np.flatnonzero(pattern.indices >= pattern.row_of())
     values = np.zeros(pattern.eta)
-    for i, row in enumerate(pattern.rows):
-        for j in row:
-            if j >= i:
-                v = rng.uniform(-1.0, 1.0)
-                values[pattern.index_of(i, j)] = v
-                if j > i:
-                    values[pattern.index_of(j, i)] = v
+    values[upper] = rng.uniform(-1.0, 1.0, size=len(upper))
+    values[pattern.transpose_positions()[upper]] = values[upper]
     A = SparseMatrix(pattern, values)
     s = np.linalg.norm(A.to_dense(), 2)
     if s > 0.0:

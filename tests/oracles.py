@@ -1,0 +1,109 @@
+"""Exact-arithmetic and forward-recurrence oracles for the Chebyshev tests.
+
+Chebyshev polynomials by their three-term recurrence, the U-series by
+forward evaluation (against clenshaw_eval's backward one), and the divided
+coefficients cheb_plan normalizes, in exact rational arithmetic.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+
+def chebyshev_eval(kind: str, j: int, x):
+    """Chebyshev polynomial of the first ('T') or second ('U') kind at x."""
+    if kind not in ("T", "U"):
+        raise ValueError("kind must be 'T' or 'U'")
+    if j < 0:
+        raise ValueError("degree must be nonnegative")
+    x = np.asarray(x, dtype=np.float64)
+    prev = np.ones_like(x)
+    if j == 0:
+        return prev if prev.shape else float(prev)
+    cur = x if kind == "T" else 2.0 * x
+    for _ in range(j - 1):
+        prev, cur = cur, 2.0 * x * cur - prev
+    return cur if cur.shape else float(cur)
+
+
+def u_series_eval(coeffs, B, rhat):
+    """Forward evaluation of sum_l coeffs[l] U_l(B) rhat via the recurrence."""
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    rhat = np.asarray(rhat, dtype=np.float64)
+    apply_B = (lambda v: B @ v) if B.ndim == 2 else (lambda v: B * v)
+    u_prev = rhat.copy()
+    total = coeffs[0] * u_prev
+    if len(coeffs) == 1:
+        return total
+    u_cur = 2.0 * apply_B(rhat)
+    total = total + coeffs[1] * u_cur
+    for k in range(2, len(coeffs)):
+        u_prev, u_cur = u_cur, 2.0 * apply_B(u_cur) - u_prev
+        total = total + coeffs[k] * u_cur
+    return total
+
+
+def _cheb_t_power_coeffs(m: int):
+    """Integer power-basis coefficients of T_m as Fractions, low to high."""
+    prev = [Fraction(1)]
+    if m == 0:
+        return prev
+    cur = [Fraction(0), Fraction(1)]
+    for _ in range(m - 1):
+        nxt = [Fraction(0)] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return cur
+
+
+def divided_cheb_coeffs(m: int, x0: float):
+    """U-basis coefficients of (T_m(x0) - T_m(w)) / (x0 - w), exactly.
+
+    Computed by exact rational synthetic division in the power basis followed
+    by peeling leading terms against U_j (leading coefficient 2^j).  Returns
+    m floats d_0..d_{m-1} with
+    (T_m(x0) - T_m(w)) / (x0 - w) = sum_l d_l U_l(w).
+    """
+    if m < 1:
+        raise ValueError("degree must be at least 1")
+    x0f = Fraction(float(x0))
+    t = _cheb_t_power_coeffs(m)
+    # P(w) = T_m(x0) - T_m(w); synthetic division by (w - x0) then negate
+    p = [-c for c in t]
+    p[0] += chebyshev_t_exact(m, x0f)
+    q = [Fraction(0)] * m
+    carry = p[m]
+    for k in range(m - 1, -1, -1):
+        q[k] = carry
+        carry = p[k] + x0f * carry
+    if carry != 0:
+        raise AssertionError("synthetic division left a nonzero remainder")
+    d = [-c for c in q]
+    # convert power basis to U basis from the top degree down
+    u_polys = [[Fraction(1)], [Fraction(0), Fraction(2)]]
+    while len(u_polys) < m:
+        a, b = u_polys[-1], u_polys[-2]
+        nxt = [Fraction(0)] + [2 * c for c in a]
+        for i, c in enumerate(b):
+            nxt[i] -= c
+        u_polys.append(nxt)
+    out = [Fraction(0)] * m
+    for j in range(m - 1, -1, -1):
+        out[j] = d[j] / (Fraction(2) ** j)
+        for i, c in enumerate(u_polys[j]):
+            d[i] -= out[j] * c
+    if any(c != 0 for c in d):
+        raise AssertionError("U-basis peel left a nonzero remainder")
+    return [float(c) for c in out]
+
+
+def chebyshev_t_exact(m: int, x0: Fraction) -> Fraction:
+    """T_m(x0) in exact rational arithmetic."""
+    prev, cur = Fraction(1), Fraction(x0)
+    if m == 0:
+        return prev
+    for _ in range(m - 1):
+        prev, cur = cur, 2 * x0 * cur - prev
+    return cur

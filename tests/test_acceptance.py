@@ -13,16 +13,12 @@ import numpy as np
 import pytest
 
 from conftest import diagonal_pattern, random_operator
+from oracles import divided_cheb_coeffs, u_series_eval
 from relusolve.arithmetic import SparseMatrix, mult_net, sparse_matvec_net
 from relusolve.calculus import identity_net, parallelize, pipeline, scale_add_net
 from relusolve.network import ReluNetwork, evaluate, make_layer, stats
 from relusolve.problems import gen_laplacian, random_rhs
-from relusolve.reference import (
-    clenshaw_eval,
-    divided_cheb_coeffs,
-    solve_exact,
-    u_series_eval,
-)
+from relusolve.reference import clenshaw_eval, solve_exact
 from relusolve.solvers import (
     SolverConfig,
     SpectralClass,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import diagonal_pattern, random_operator, tridiagonal_pattern
+from conftest import diagonal_pattern, pattern_of, random_operator, tridiagonal_pattern
 from relusolve.arithmetic import (
     SparseMatrix,
     SparsityPattern,
@@ -22,40 +22,48 @@ from relusolve.network import evaluate
 def test_pattern_shape_helpers():
     pat = tridiagonal_pattern(4)
     assert pat.n == 4
-    assert pat.rows == ((0, 1), (0, 1, 2), (1, 2, 3), (2, 3))
+    assert list(pat.indptr) == [0, 2, 5, 8, 10]
+    assert list(pat.indices) == [0, 1, 0, 1, 2, 1, 2, 3, 2, 3]
     assert pat.eta == 10
     assert pat.chi_max == 3
-    assert pat.row_slice(1) == slice(2, 5)
-    assert list(pat.positions())[:3] == [(0, 0), (0, 1), (1, 0)]
-    assert pat.index_of(2, 3) == 7
-    assert pat.contains(1, 2) and not pat.contains(0, 3)
+    assert list(pat.row_of()) == [0, 0, 1, 1, 1, 2, 2, 2, 3, 3]
+    # position 7 is (2, 3) and its transpose (3, 2) is position 8
+    assert list(pat.transpose_positions()) == [0, 2, 1, 3, 5, 4, 6, 8, 7, 9]
     assert pat.has_full_diagonal()
     assert pat.is_symmetric()
     assert list(pat.diagonal_positions()) == [0, 3, 6, 9]
+    # the arrays cannot be written through the pattern
+    assert not (pat.indptr.flags.writeable or pat.indices.flags.writeable)
 
 
 def test_pattern_equality_and_hash():
     a = tridiagonal_pattern(3)
     b = tridiagonal_pattern(3)
-    assert a == b and hash(a) == hash(b)
+    assert a == b
     assert a != diagonal_pattern(3)
 
 
 def test_pattern_validation():
     with pytest.raises(ValueError, match="at least one row"):
-        SparsityPattern([])
+        pattern_of([])
     with pytest.raises(ValueError, match="no admissible columns"):
-        SparsityPattern([(0,), ()])
+        pattern_of([(0,), ()])
     with pytest.raises(ValueError, match="out of range"):
-        SparsityPattern([(0, 2)])
+        pattern_of([(0, 2)])
     with pytest.raises(ValueError, match="strictly increasing"):
-        SparsityPattern([(1, 0), (0, 1)])
+        pattern_of([(1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="indptr must rise from 0"):
+        SparsityPattern([1, 2], [0, 0])
+    with pytest.raises(ValueError, match="indptr must rise from 0"):
+        SparsityPattern([0, 1], [0, 0])
+    with pytest.raises(ValueError, match="indptr must rise from 0"):
+        SparsityPattern([0, 2, 1], [0, 1])
 
 
 def test_pattern_asymmetric_and_gapped_diagonal():
-    pat = SparsityPattern([(0, 1), (1,)])
+    pat = pattern_of([(0, 1), (1,)])
     assert not pat.is_symmetric()
-    gapped = SparsityPattern([(1,), (0,)])
+    gapped = pattern_of([(1,), (0,)])
     assert not gapped.has_full_diagonal()
     with pytest.raises(ValueError, match="missing a diagonal"):
         gapped.diagonal_positions()

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import relusolve
+from conftest import pattern_of
 from relusolve import problems
-from relusolve.arithmetic import SparseMatrix, SparsityPattern
+from relusolve.arithmetic import SparseMatrix
 from relusolve.cli import _resolve_problem, build_parser, main
 from relusolve.problems import gen_laplacian, read_coo, write_coo
 
@@ -400,7 +401,7 @@ def test_file_problem_refuses_a_bracket_it_cannot_vouch_for(capsys, tmp_path, ei
     q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(6, 6)))
     dense = (q * eigenvalues) @ q.T
     coo = tmp_path / "a.coo"
-    full = SparsityPattern([tuple(range(6))] * 6)
+    full = pattern_of([tuple(range(6))] * 6)
     write_coo(coo, SparseMatrix(full, ((dense + dense.T) / 2.0).ravel()))
     rc, out, err = run_cli(capsys, "build", "--method", "richardson", "--problem", f"file:{coo}",
                            "--out", str(tmp_path / "net.npz"))

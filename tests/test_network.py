@@ -54,6 +54,18 @@ def test_make_layer_rejects_non_finite_values():
         make_layer((1, 1), [0], [0], [1.0], bias=[np.nan])
 
 
+def test_layer_copies_a_csr_weight():
+    # with an explicit zero and unsorted columns, which the layer cleans up
+    W = sp.csr_matrix((np.array([2.0, 0.0, 1.0]), np.array([1, 0, 0]), np.array([0, 2, 3])), shape=(2, 2))
+    layer = Layer(W)
+    assert layer.weight.nnz == 2
+    for mine in (W.data, W.indices, W.indptr):
+        assert mine.flags.writeable
+        for theirs in (layer.weight.data, layer.weight.indices, layer.weight.indptr):
+            assert not np.shares_memory(mine, theirs)
+    assert list(W.data) == [2.0, 0.0, 1.0] and list(W.indices) == [1, 0, 0]
+
+
 def test_make_layer_mismatched_triplet_lengths():
     with pytest.raises(ValueError, match="equal length"):
         make_layer((2, 2), [0, 1], [0], [1.0, 2.0])

@@ -1,5 +1,6 @@
 """Benchmark generators, spectral estimation, and the COO text format."""
 
+import hashlib
 import math
 import os
 import resource
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 import relusolve
-from conftest import diagonal_pattern, tridiagonal_pattern
-from relusolve.arithmetic import SparseMatrix, SparsityPattern
+from conftest import diagonal_pattern, pattern_of, tridiagonal_pattern
+from relusolve.arithmetic import SparseMatrix
 from relusolve.problems import (
     CooFormatError,
     estimate_extremal_eigs,
@@ -28,7 +29,8 @@ from relusolve.solvers import SpectralClass
 def test_laplacian_1d_structure_and_spectrum():
     fem = gen_laplacian(1, 4)
     assert fem.n == 4 and fem.h == 0.2
-    assert fem.pattern.rows == ((0, 1), (0, 1, 2), (1, 2, 3), (2, 3))
+    assert list(fem.pattern.indptr) == [0, 2, 5, 8, 10]
+    assert list(fem.pattern.indices) == [0, 1, 0, 1, 2, 1, 2, 3, 2, 3]
     assert fem.pattern.eta == 10
     dense = fem.matrix.to_dense()
     assert np.array_equal(np.diag(dense), np.full(4, 2.0))
@@ -85,9 +87,9 @@ def test_random_spd_determinism_and_validation():
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
     with pytest.raises(ValueError, match="diagonal"):
-        random_spd(SparsityPattern([(1,), (0,)]), spec, seed=0)
+        random_spd(pattern_of([(1,), (0,)]), spec, seed=0)
     with pytest.raises(ValueError, match="symmetric"):
-        random_spd(SparsityPattern([(0, 1), (1,)]), spec, seed=0)
+        random_spd(pattern_of([(0, 1), (1,)]), spec, seed=0)
 
 
 def test_random_spd_degenerate_box_gives_scaled_identity():
@@ -136,7 +138,7 @@ def test_estimate_extremal_eigs_checks_values_on_a_symmetric_pattern():
     with pytest.raises(ValueError, match="symmetric"):
         estimate_extremal_eigs(SparseMatrix(pat, vals))
     with pytest.raises(ValueError, match="symmetric"):
-        estimate_extremal_eigs(SparseMatrix(SparsityPattern([(0, 1), (1,)]), [1.0, 0.0, 1.0]))
+        estimate_extremal_eigs(SparseMatrix(pattern_of([(0, 1), (1,)]), [1.0, 0.0, 1.0]))
 
 
 def test_coo_round_trip_is_exact(tmp_path):
@@ -173,7 +175,8 @@ def test_coo_accepts_comments_and_blank_lines(tmp_path):
     path = tmp_path / "ok.coo"
     path.write_text("# header comment\n\n2 3\n1 1 2.0  # diagonal\n1 2 -1.0\n2 2 2.0\n")
     A = read_coo(path)
-    assert A.pattern.rows == ((0, 1), (1,))
+    assert list(A.pattern.indptr) == [0, 2, 3]
+    assert list(A.pattern.indices) == [0, 1, 1]
     assert np.array_equal(A.values, [2.0, -1.0, 2.0])
 
 
@@ -229,3 +232,62 @@ def test_coo_writer_produces_reparseable_floats(tmp_path):
     write_coo(path, A)
     back = read_coo(path)
     assert np.array_equal(back.values, A.values)
+
+
+def _problem_digest(matrices) -> str:
+    """sha256 over the int64 CSR structure and the values of each matrix, in order."""
+    h = hashlib.sha256()
+    for A in matrices:
+        csr = A.to_csr()
+        for arr in (csr.indptr.astype(np.int64), csr.indices.astype(np.int64), A.values):
+            h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _coo_round_trip(tmp_path, A):
+    path = tmp_path / "a.coo"
+    write_coo(path, A)
+    return read_coo(path)
+
+
+# digests of the Laplacian (bracket None) and of random_spd at seeds 0, 1
+# and 2 in each bracket, as generated while patterns were stored as per-row
+# tuples; no change of storage may move a value or a draw
+FROZEN_PROBLEMS = {
+    (1, 4): {
+        None: "144151fbdc73d517f7dc3d36d19de8adca77e9a6a233116bdfad8f80ed9f0a7c",
+        (1.0, 100.0): "4c433a0d46017b6ebc3b8899028b2670e1c5c10d9db5903451f0db25752e228f",
+        (1.0, 5.0): "ed2728828aa1edc0dce51755f09bc92d27429bb4024744212503250bc1f8fe26",
+        (2.0, 2.0): "ac4a7b00cfe508fd9803e9ff19abbde17bcb1118483cd9ed63f3809b4f795221",
+    },
+    (1, 16): {
+        None: "fed0f1f0d634dfe2afdb2b35788116cf6d808f33a8b3a6552ffdcc6e1837f1a1",
+        (1.0, 100.0): "01751e605a5b59b3d0bb0ce5252439b40c50c48cee51f26c7411702292291af2",
+        (1.0, 5.0): "f337fe27189077402b4734dd1693d8831fe808f1fcec1e16bd5faef6e498e784",
+        (2.0, 2.0): "735dfadea87ea687953ba9948d5b8d9cf7fdc61b3f1c7edcca3010bf86f053f8",
+    },
+    (2, 3): {
+        None: "78e1208bf642f825e5294386adbb7365d48806cbe42cf712af3c37c6c9e79f98",
+        (1.0, 100.0): "1bf601801a146d8796608783864733bb0b1d016127744aef76975f99f9d565c0",
+        (1.0, 5.0): "eedb0f7f352c1aba3b19e6b5b43d38171a60b712a887387c4c94c1e9e3d613c7",
+        (2.0, 2.0): "bfdb72c8f336557e242c210ebb0274cde536ca44cda48447976900b49e97a0ed",
+    },
+    (2, 4): {
+        None: "0a2c4474117cc748caa009309ee6f74e830a1c860cdbc159e3e67becbe45e187",
+        (1.0, 100.0): "7afd3cd5ee643b80f1f4b684d6862131b68db387598ae7320a21fc185c13df2c",
+        (1.0, 5.0): "cc1dc225447d2e1f12c1254c7c1d832d8e0191bd30d58ce719e71ae4b210b1dd",
+        (2.0, 2.0): "399a960ab913aaa6ccd960176a48e2ded1020ea009e2643b60c1ad4db5ea2238",
+    },
+}
+
+
+@pytest.mark.parametrize("d, N", list(FROZEN_PROBLEMS))
+def test_problem_generators_are_frozen(tmp_path, d, N):
+    fem = gen_laplacian(d, N)
+    for bracket, digest in FROZEN_PROBLEMS[d, N].items():
+        if bracket is None:
+            matrices = [fem.matrix]
+        else:
+            matrices = [random_spd(fem.pattern, SpectralClass(*bracket), seed) for seed in range(3)]
+        assert _problem_digest(matrices) == digest, bracket
+        assert _problem_digest([_coo_round_trip(tmp_path, A) for A in matrices]) == digest, bracket

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_operator, tridiagonal_pattern
-from relusolve.arithmetic import SparsityPattern
+from conftest import pattern_of, random_operator, tridiagonal_pattern
+from oracles import divided_cheb_coeffs
 from relusolve.network import evaluate, stats
 from relusolve.problems import gen_laplacian, random_rhs
-from relusolve.reference import divided_cheb_coeffs, solve_exact
+from relusolve.reference import solve_exact
 from relusolve.solvers import (
     AuditRecord,
     ChebyshevPlan,
@@ -283,7 +283,7 @@ def test_builders_reject_bad_configurations():
         build_richardson_net(fem.pattern, fem.spectral, SolverConfig("cg", 0.1))
     with pytest.raises(ValueError, match="must be 'cg'"):
         build_cg_net(fem.pattern, fem.spectral, SolverConfig("richardson", 0.1))
-    gapped = SparsityPattern([(1,), (0,)])
+    gapped = pattern_of([(1,), (0,)])
     with pytest.raises(ValueError, match="diagonal"):
         build_richardson_net(gapped, fem.spectral, SolverConfig("richardson", 0.1))
     with pytest.raises(ValueError, match="admissible bound"):
@@ -293,7 +293,7 @@ def test_builders_reject_bad_configurations():
 
 
 def test_scalar_reciprocal_instance():
-    pattern = SparsityPattern([(0,)])
+    pattern = pattern_of([(0,)])
     spec = SpectralClass(0.5, 2.0)
     net = build_cg_net(pattern, spec, SolverConfig("cg", 0.05))
     for a in (0.5, 0.8, 1.3, 2.0):
