@@ -170,6 +170,7 @@ def cmd_build(args) -> int:
         "stats": {
             "depth": st.depth,
             "weights": st.weights,
+            "neurons": st.neurons,
             "max_width": st.max_width,
             "input_dim": st.input_dim,
             "output_dim": st.output_dim,
@@ -288,7 +289,7 @@ def cmd_verify(args) -> int:
         "passed": passed,
         "zero_rhs_exact": zero_exact,
         "realized_c_sc": realized,
-        "stats": {"depth": st.depth, "weights": st.weights},
+        "stats": {"depth": st.depth, "weights": st.weights, "neurons": st.neurons},
     }
     _emit_report(_report(args, results, durations, t0), args.out)
     return 0 if passed else 1

@@ -325,10 +325,14 @@ class NetworkStats:
     max_width: int
     input_dim: int
     output_dim: int
+    neurons: int
 
 
 def stats(net: ReluNetwork) -> NetworkStats:
-    """Exact depth and stored-weight counts; zeros are never stored."""
+    """Exact depth, stored-weight and neuron counts; zeros are never stored.
+
+    neurons sums the hidden widths, the rows of every layer but the last.
+    """
     per_layer = tuple(
         int(layer.weight.nnz) + int(np.count_nonzero(layer.bias)) for layer in net.layers
     )
@@ -339,6 +343,7 @@ def stats(net: ReluNetwork) -> NetworkStats:
         max_width=max(net.widths),
         input_dim=net.input_dim,
         output_dim=net.output_dim,
+        neurons=sum(net.widths[1:-1]),
     )
 
 

@@ -21,6 +21,23 @@ builds the body once, so the m steps share every layer but the fused one.
 Both networks take the concatenation (A^v, r) of matrix values and
 right-hand side as input and approximate A^{-1} r to the configured
 accuracy.
+
+Each step's matvec is built for inputs of norm at most z, and a smaller z
+means fewer sawtooth stages per matvec.  The matvec reads only v (Richardson)
+or b_next (cg), and both stay bounded:
+
+Lemma (Richardson, z = 2).  validate_against gives c_sc <= (1 + kappa)/2,
+so ||v_0|| = omega ||r|| <= 2 c_sc / (1 + kappa) <= 1.  ||B|| = rho_1 < 1,
+and each of the m + 1 matvecs adds at most delta = eps / (2 m^2), so
+||v_k|| <= 1 + (m + 1) delta < 2.
+
+Lemma (cg, z = max(1, (c_sc/kappa) max_k S_k + eps/4)).  With normalized
+coefficients c_j, b_k = sum_{j>=k} c_j U_{j-k}(B) rhat.  spec(B) lies in
+[-1, 1], so ||U_i(B)|| <= i + 1, and ||rhat|| = ||r|| / Lam <= c_sc / kappa;
+hence ||b_k|| <= (c_sc/kappa) S_k with S_k = sum_{j>=k} c_j (j - k + 1).
+Each matvec error e reaches b_k as U_i(B) e, so the computed b_k are off by
+at most m (m + 1)/2 delta <= eps/4, as delta = eps / (2 (m + 1)^2 max(1,
+|final_scale|)); z adds that eps/4.
 """
 
 from __future__ import annotations
@@ -289,7 +306,7 @@ def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: Solver
         omega = spec.omega
         m = m_richardson(config.epsilon, config.c_sc, rho_alpha(spec, 1.0))
         delta = config.epsilon / (2.0 * m * m)
-        z = float(m + 3)
+        z = 2.0  # bounds every ||v_k||, by the Richardson lemma above
         steps = [richardson_step_net(pattern, delta, z)] * (m + 1)
         # state (B^v, v, c): B^v = I - omega A, v = omega r, c = 0; x = c
         b_diag, b_scale, r_scale, r_at = 1.0, -omega, omega, eta
@@ -299,7 +316,11 @@ def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: Solver
         m = m_cg(config.epsilon, config.c_sc, rho_alpha(spec, 0.5))
         plan = cheb_plan(m, spec)
         delta = config.epsilon / (2.0 * (m + 1) ** 2 * max(1.0, abs(plan.final_scale)))
-        z = 3.0 * m * m
+        # the cg lemma above: two cumulative sums over the reversed coefficients
+        # give every S_k = sum_{j>=k} coeffs[j] (j - k + 1) in O(m), as m reaches
+        # the thousands at large kappa
+        sums = np.cumsum(np.cumsum(plan.coeffs[::-1]))
+        z = max(1.0, config.c_sc / spec.kappa * float(sums.max()) + config.epsilon / 4.0)
         # one body for all m steps; only the fused output layer depends on alpha_bar
         body = _clenshaw_body(pattern, delta, z)
         steps = [_fuse_combination(body, pattern, plan.coeffs[k]) for k in range(m - 1, -1, -1)]

@@ -18,6 +18,7 @@ from conftest import pattern_of
 from relusolve import problems
 from relusolve.arithmetic import SparseMatrix
 from relusolve.cli import _resolve_problem, build_parser, main
+from relusolve.network import load_network, stats
 from relusolve.problems import gen_laplacian, read_coo, write_coo
 
 
@@ -78,6 +79,16 @@ def test_build_emits_report_and_network(capsys, tmp_path):
     assert report["parameters"]["method"] == "richardson"
     assert report["results"]["metadata"]["m"] == 23
     assert report["results"]["stats"]["depth"] >= 3
+
+
+def test_build_and_verify_report_neurons(capsys, tmp_path):
+    path, report = build_small_net(capsys, tmp_path)
+    neurons = stats(load_network(path)).neurons
+    assert neurons > 0
+    assert report["results"]["stats"]["neurons"] == neurons
+    rc, out, err = run_cli(capsys, "verify", "--net", str(path), "--n", "8", "--samples", "2")
+    assert rc == 0, err
+    assert json.loads(out)["results"]["stats"]["neurons"] == neurons
 
 
 def test_build_is_deterministic(capsys, tmp_path):
@@ -189,9 +200,9 @@ def test_eval_and_verify_reject_mistyped_metadata(capsys, tmp_path, key, value):
 
 
 def test_verify_loads_a_deep_network_in_a_4_gb_address_space(capsys, tmp_path):
-    # richardson n=32, eps=0.1: 14,566 positions over 24 distinct layers
+    # richardson n=32, eps=0.1: 11,918 positions over 20 distinct layers
     path, report = build_small_net(capsys, tmp_path, eps="0.1", n="32")
-    assert report["results"]["stats"]["depth"] == 14566
+    assert report["results"]["stats"]["depth"] == 11918
     limit = 4_000_000_000
 
     def limit_address_space():

@@ -298,6 +298,15 @@ def test_stats_counts_stored_entries_and_nonzero_bias():
     assert st_.input_dim == 2 and st_.output_dim == 1
 
 
+def test_stats_counts_neurons_as_summed_hidden_widths():
+    # widths 2 -> 3 -> 4 -> 1: the hidden layers hold 3 + 4 neurons
+    l1 = make_layer((3, 2), [0, 1, 2], [0, 1, 0], [1.0, 1.0, -1.0])
+    l2 = make_layer((4, 3), [0, 1, 2, 3], [0, 1, 2, 2], [1.0, 1.0, 1.0, 2.0])
+    l3 = make_layer((1, 4), [0, 0], [0, 3], [1.0, -1.0])
+    assert stats(ReluNetwork([l1, l2, l3])).neurons == 7
+    assert stats(ReluNetwork([l3])).neurons == 0
+
+
 def test_dict_round_trip_preserves_evaluation_and_metadata():
     rng = np.random.default_rng(11)
     l1 = make_layer((3, 2), [0, 1, 2], [1, 0, 1], [0.25, -1.5, 3.0], bias=[0.0, 0.5, 0.0])
@@ -362,9 +371,9 @@ def assert_frozen_file(tmp_path, net, digest):
     "method, build, digest",
     [
         ("richardson", build_richardson_net,
-         "ed8693efeb9c66529a0c8ffd49485a8f67f803e3e6a6ce668bf54dacb1fd44c2"),
+         "43a39b52cc92a4aab6a1aee7ef18eab5614ef8095b670b7090636407ac6d6ed9"),
         ("cg", build_cg_net,
-         "a2bb93193d14741b10dea0490ccf534326a963d022eb1f3b6377aabd5242693b"),
+         "bae7f85eae846aa111857bf258a5ded98ef0bc5727b96f7060f2ef25cc4fc19e"),
     ],
 )
 def test_saved_file_bytes_are_frozen(tmp_path, method, build, digest):
@@ -376,9 +385,9 @@ def test_saved_file_bytes_are_frozen(tmp_path, method, build, digest):
     "method, build, digest",
     [
         ("richardson", build_richardson_net,
-         "4738bcabaaa48da6ca06e9aaa5ca780e510028a5efcf9ee242a93f2fa687368d"),
+         "11c4e24e833fe918a9819c48d73e3c358addb67f7cf46fdc77d8e207bb932180"),
         ("cg", build_cg_net,
-         "8565ab5c84f506958ac59d87497828450b7b1edb12542bcf748d6b6c240069ea"),
+         "6940332772cd9f475e245f8604b6487e001342c85bd9965c4653f8f2ac4f43d5"),
     ],
 )
 def test_saved_file_bytes_are_frozen_on_a_2d_pattern(tmp_path, method, build, digest):

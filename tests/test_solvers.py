@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import pattern_of, random_operator, tridiagonal_pattern
 from oracles import divided_cheb_coeffs
+from relusolve.arithmetic import SparseMatrix
 from relusolve.network import evaluate, stats
-from relusolve.problems import gen_laplacian, random_rhs
+from relusolve.problems import gen_laplacian, random_rhs, random_spd
 from relusolve.reference import solve_exact
 from relusolve.solvers import (
     AuditRecord,
@@ -224,6 +225,82 @@ def test_cg_build_shares_one_step_body():
     meta = net.metadata
     step = clenshaw_step_net(fem.pattern, 1.0, meta["delta"], meta["z"])
     assert len({id(layer) for layer in net.layers}) <= step.depth + meta["m"] + 2
+
+
+def _bound_cases():
+    """(label, pattern, matrix, class): two Laplacians and two random_spd draws."""
+    for d, N in ((1, 16), (2, 4)):
+        fem = gen_laplacian(d, N)
+        yield f"laplacian{d}d", fem.pattern, fem.matrix, fem.spectral
+    for seed, (d, N, Lam) in enumerate(((1, 16, 100.0), (2, 4, 30.0))):
+        pattern, spec = gen_laplacian(d, N).pattern, SpectralClass(1.0, Lam)
+        yield f"random_spd{d}d", pattern, random_spd(pattern, spec, seed), spec
+
+
+BOUND_CASES = {label: case for label, *case in _bound_cases()}
+
+
+@pytest.mark.parametrize("method", ["richardson", "cg"])
+@pytest.mark.parametrize("label", sorted(BOUND_CASES))
+def test_matvec_input_stays_within_z_at_maximal_scale(label, method):
+    # c_sc at its admissible maximum and +-extreme eigenvectors of A as rhs;
+    # the state is stepped with the builder's own delta and z, and before
+    # each step the matvec input (v, or b_next) must be within z
+    pattern, A, spec = BOUND_CASES[label]
+    n, eta = pattern.n, pattern.eta
+    kappa, eps = spec.kappa, 0.1
+    c_sc = (1.0 + kappa) / 2.0 if method == "richardson" else kappa
+    build = build_richardson_net if method == "richardson" else build_cg_net
+    meta = build(pattern, spec, SolverConfig(method, eps, c_sc)).metadata
+    m, delta, z = meta["m"], meta["delta"], meta["z"]
+    _, V = np.linalg.eigh(A.to_dense())
+    rhs = c_sc * spec.lam * np.column_stack([V[:, 0], -V[:, 0], V[:, -1], -V[:, -1]])
+    diag = pattern.diagonal_positions()
+
+    def gap(state, block, exact):
+        rows = state[eta + block * n : eta + (block + 1) * n]
+        return float(np.linalg.norm(rows - exact, axis=0).max())
+
+    if method == "richardson":
+        omega = meta["omega"]
+        b_vals = (-omega) * A.values
+        b_vals[diag] += 1.0
+        step = richardson_step_net(pattern, delta, z)
+        v, c = omega * rhs, np.zeros_like(rhs)
+        state = np.vstack([np.repeat(b_vals[:, None], 4, axis=1), v, c])
+        B = SparseMatrix(pattern, b_vals).to_dense()
+        for k in range(m + 1):
+            assert float(np.linalg.norm(state[eta : eta + n], axis=0).max()) <= z
+            state = evaluate(step, state)
+            v, c = B @ v, v + c
+            # each matvec adds at most delta to v; the exact carry sums v's errors
+            assert gap(state, 0, v) <= (k + 1) * delta
+            assert gap(state, 1, c) <= k * (k + 1) / 2 * delta
+    else:
+        plan = cheb_plan(m, spec)
+        b_vals = (-2.0 * kappa / (kappa - 1.0) / spec.Lam) * A.values
+        b_vals[diag] += plan.sigma0
+        rhat = (1.0 / spec.Lam) * rhs
+        b_next, b_nn = np.zeros_like(rhs), np.zeros_like(rhs)
+        state = np.vstack([np.repeat(b_vals[:, None], 4, axis=1), b_next, b_nn, rhat])
+        B = SparseMatrix(pattern, b_vals).to_dense()
+        budget = m * (m + 1) / 2 * delta
+        for k in range(m - 1, -1, -1):
+            assert float(np.linalg.norm(state[eta : eta + n], axis=0).max()) <= z
+            state = evaluate(clenshaw_step_net(pattern, plan.coeffs[k], delta, z), state)
+            b_next, b_nn = plan.coeffs[k] * rhat + 2.0 * (B @ b_next) - b_nn, b_next
+            assert gap(state, 0, b_next) <= budget and gap(state, 1, b_nn) <= budget
+
+
+def test_matvec_input_bound_never_exceeds_the_state_bound():
+    # criterion 04's configurations, against the whole-state bounds m + 3 and 3 m^2
+    for n in (8, 16, 32):
+        fem = gen_laplacian(1, n)
+        for eps in (0.5, 0.1, 0.02):
+            for method, build in (("richardson", build_richardson_net), ("cg", build_cg_net)):
+                meta = build(fem.pattern, fem.spectral, SolverConfig(method, eps)).metadata
+                m = meta["m"]
+                assert 1.0 <= meta["z"] <= (m + 3 if method == "richardson" else 3 * m * m)
 
 
 @pytest.mark.parametrize("method,builder", [("richardson", build_richardson_net), ("cg", build_cg_net)])
