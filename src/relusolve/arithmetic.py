@@ -178,14 +178,13 @@ def _readout(s: int) -> np.ndarray:
     return np.array([[-2.0 * qf, 4.0 * qf, -2.0 * qf, 1.0]])
 
 
-def _polarized_sum_net(
-    n_in: int, a_cols, b_cols, coefs, weight: float, groups, s: int, with_selection: bool
-) -> ReluNetwork:
+def _polarized_sum_net(n_in: int, a_cols, b_cols, coefs, weight: float, groups, s: int) -> ReluNetwork:
     """Bank of paired squaring chains with an exact summation output layer.
 
     Term p contributes weight * (f_s(|a+b|) - f_s(|a-b|)) ~ weight * 4ab to
     each output row whose groups entry in column p is 1, where
-    a = coefs[0] * x[a_cols[p]] and b = coefs[1] * x[b_cols[p]].
+    a = coefs[0] * x[a_cols[p]] and b = coefs[1] * x[b_cols[p]].  The
+    layers are the input map, s saw stages and the summation: depth s + 2.
     """
     num_terms = len(a_cols)
     pick = sp.csr_matrix(
@@ -196,11 +195,7 @@ def _polarized_sum_net(
     # per term (a, b) -> (u+, u-, v+, v-) with u = a+b, v = a-b
     ac, bc = coefs
     pair_abs = [[ac, bc], [-ac, -bc], [ac, -bc], [-ac, bc]]
-    if with_selection:
-        # two-channel restriction: selected scalars survive ReLU as (+, -) pairs
-        layers = [Layer(sp.kron(pick, SPLIT)), Layer(_bank(num_terms, sp.kron(pair_abs, MERGE)))]
-    else:
-        layers = [Layer(_bank(num_terms, pair_abs) @ pick)]
+    layers = [Layer(_bank(num_terms, pair_abs) @ pick)]
     layers.extend(_saw_stage_layers(num_terms, s, chains=2))
     # a term sums f_s(|u|) - f_s(|v|) over its (u, v) chain pairs: the
     # columns run n1u, n1v, n2u, n2v, n3u, n3v, cu, cv, so every +/- pair
@@ -236,7 +231,7 @@ def mult_net(eps: float, D: float = 1.0) -> ReluNetwork:
     D = float(D)
     s = _refinement(math.log2(1.0 / eps) + 2.0 * math.log2(D))
     half = 1.0 / (2.0 * D)
-    return _polarized_sum_net(2, [0], [1], (half, half), D * D, [[1.0]], s, with_selection=False)
+    return _polarized_sum_net(2, [0], [1], (half, half), D * D, [[1.0]], s)
 
 
 def scalar_product_net(k: int, eps: float, z: float = 1.0) -> ReluNetwork:
@@ -254,9 +249,7 @@ def scalar_product_net(k: int, eps: float, z: float = 1.0) -> ReluNetwork:
     z = float(z)
     s = _refinement(math.log2(k * z / eps))
     terms = np.arange(k)
-    return _polarized_sum_net(
-        2 * k, terms, k + terms, (1.0 / (2.0 * z), 0.5), z, np.ones((1, k)), s, with_selection=False
-    )
+    return _polarized_sum_net(2 * k, terms, k + terms, (1.0 / (2.0 * z), 0.5), z, np.ones((1, k)), s)
 
 
 def sparse_matvec_net(
@@ -264,10 +257,11 @@ def sparse_matvec_net(
 ) -> ReluNetwork:
     """Approximate (A^v, r) -> scale * A r for A in the pattern class.
 
-    Admissible inputs: ||A||_2 <= 1 and ||r||_2 <= z.  Each row i is an
-    explicit two-channel restriction onto (r | chi_i, row-i values) feeding a
-    scalar product at per-row accuracy eps / (|scale| sqrt(n)); rows share one
-    refinement level (the chi_max worst case) so the bank needs no padding.
+    Admissible inputs: ||A||_2 <= 1 and ||r||_2 <= z.  Each row i is a
+    scalar product of (r | chi_i) with its row-i values at per-row accuracy
+    eps / (|scale| sqrt(n)), whose terms read their inputs straight from the
+    net's input; rows share one refinement level (the chi_max worst case) so
+    the bank needs no padding.
     """
     if eps <= 0:
         raise ValueError("accuracy must be positive")
@@ -282,6 +276,5 @@ def sparse_matvec_net(
     positions = np.arange(eta)
     groups = sp.csr_matrix((np.ones(eta), positions, pattern.indptr), shape=(n, eta))
     return _polarized_sum_net(
-        eta + n, eta + pattern.indices, positions, (1.0 / (2.0 * z), 0.5),
-        scale * z, groups, s, with_selection=True,
+        eta + n, eta + pattern.indices, positions, (1.0 / (2.0 * z), 0.5), scale * z, groups, s
     )

@@ -11,12 +11,24 @@ from conftest import diagonal_pattern, pattern_of, random_operator, tridiagonal_
 from relusolve.arithmetic import (
     SparseMatrix,
     SparsityPattern,
+    _refinement,
     mult_net,
     scalar_product_net,
     sparse_matvec_net,
     square_net,
 )
-from relusolve.network import evaluate
+from relusolve.network import evaluate, stats
+
+
+def assert_product_net_size(net, terms, s):
+    """A bank of `terms` product terms at refinement level s, in closed form.
+
+    Depth: the input layer, s saw stages and the summation.  A term stores 8
+    input weights, 20 in saw stage 1 (16 weights, 4 biases), 30 in each later
+    stage (26 weights, 4 biases) and 8 summation weights: 30 s + 6.
+    """
+    assert net.depth == s + 2
+    assert stats(net).weights == terms * (30 * s + 6)
 
 
 def test_pattern_shape_helpers():
@@ -103,6 +115,7 @@ def test_square_net_validation():
 @pytest.mark.parametrize("eps,D", [(1e-1, 1.0), (1e-2, 2.0)])
 def test_mult_net_certificate(eps, D):
     net = mult_net(eps, D)
+    assert_product_net_size(net, 1, _refinement(math.log2(1.0 / eps) + 2.0 * math.log2(D)))
     g = np.linspace(-D, D, 81)
     X, Y = np.meshgrid(g, g)
     inp = np.stack([X.ravel(), Y.ravel()])
@@ -130,6 +143,7 @@ def test_mult_net_validation():
 def test_scalar_product_net_certificate(k, eps, z):
     rng = np.random.default_rng(100 * k)
     net = scalar_product_net(k, eps, z)
+    assert_product_net_size(net, k, _refinement(math.log2(k * z / eps)))
     for _ in range(20):
         x = rng.normal(size=k)
         x *= rng.uniform(0.1, 1.0) / np.linalg.norm(x)
@@ -153,6 +167,8 @@ def test_sparse_matvec_net_certificate(scale):
     pat = tridiagonal_pattern(5)
     eps, z = 1e-3, 2.0
     net = sparse_matvec_net(pat, eps, z, scale)
+    eps_row = eps / (abs(scale) * math.sqrt(pat.n))
+    assert_product_net_size(net, pat.eta, _refinement(math.log2(pat.chi_max * z / eps_row)))
     rng = np.random.default_rng(17)
     for _ in range(15):
         A = random_operator(pat, rng)

@@ -200,9 +200,9 @@ def test_eval_and_verify_reject_mistyped_metadata(capsys, tmp_path, key, value):
 
 
 def test_verify_loads_a_deep_network_in_a_4_gb_address_space(capsys, tmp_path):
-    # richardson n=32, eps=0.1: 11,918 positions over 20 distinct layers
+    # richardson n=32, eps=0.1: 11,256 positions over 19 distinct layers
     path, report = build_small_net(capsys, tmp_path, eps="0.1", n="32")
-    assert report["results"]["stats"]["depth"] == 11918
+    assert report["results"]["stats"]["depth"] == 11256
     limit = 4_000_000_000
 
     def limit_address_space():

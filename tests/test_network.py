@@ -26,7 +26,7 @@ from relusolve.network import (
     save_network,
     stats,
 )
-from relusolve.problems import gen_laplacian
+from relusolve.problems import gen_laplacian, random_rhs, random_spd
 from relusolve.solvers import SolverConfig, build_cg_net, build_richardson_net
 
 
@@ -371,9 +371,9 @@ def assert_frozen_file(tmp_path, net, digest):
     "method, build, digest",
     [
         ("richardson", build_richardson_net,
-         "43a39b52cc92a4aab6a1aee7ef18eab5614ef8095b670b7090636407ac6d6ed9"),
+         "788612784cb8bc7005d90f04212fcda15072b38a18654cceaed497432471d7ce"),
         ("cg", build_cg_net,
-         "bae7f85eae846aa111857bf258a5ded98ef0bc5727b96f7060f2ef25cc4fc19e"),
+         "34c39e47bcd89c1bafb83e7f6236f8857697fc18246f4e687b1fdfa499e5f1ca"),
     ],
 )
 def test_saved_file_bytes_are_frozen(tmp_path, method, build, digest):
@@ -385,15 +385,60 @@ def test_saved_file_bytes_are_frozen(tmp_path, method, build, digest):
     "method, build, digest",
     [
         ("richardson", build_richardson_net,
-         "11c4e24e833fe918a9819c48d73e3c358addb67f7cf46fdc77d8e207bb932180"),
+         "43be226462191924074e9fa00246323822f8155b34a9c3574bf70cd0899960a8"),
         ("cg", build_cg_net,
-         "6940332772cd9f475e245f8604b6487e001342c85bd9965c4653f8f2ac4f43d5"),
+         "c7ad7c93de55332aec833b5e819118611568e9201a18ae3fa4a0481747012937"),
     ],
 )
 def test_saved_file_bytes_are_frozen_on_a_2d_pattern(tmp_path, method, build, digest):
     # the 5-point stencil of a 3 x 3 grid: diagonal positions at no regular stride
     fem = gen_laplacian(2, 3)
     assert_frozen_file(tmp_path, build(fem.pattern, fem.spectral, SolverConfig(method, 0.5)), digest)
+
+
+def _output_digest(net, fem) -> str:
+    """sha256 of net's outputs on the Laplacian and on random_spd(seed 0).
+
+    Each matrix runs one column batch: +/- its extreme eigenvectors and four
+    seeded random right-hand sides, all of norm c_sc * lam.  The first column
+    also runs alone as a vector.
+    """
+    c_sc, lam = net.metadata["c_sc"], fem.spectral.lam
+    digest = hashlib.sha256()
+    for A in (fem.matrix, random_spd(fem.pattern, fem.spectral, 0)):
+        _, vectors = np.linalg.eigh(A.to_dense())
+        extreme = vectors[:, [0, -1]]
+        # eigh fixes no sign: make each vector's largest entry positive
+        extreme = extreme * np.sign(extreme[np.abs(extreme).argmax(axis=0), [0, 1]])
+        rhs = np.column_stack(
+            [c_sc * lam * extreme, -c_sc * lam * extreme]
+            + [random_rhs(fem.n, c_sc, lam, seed) for seed in range(4)]
+        )
+        batch = np.vstack([np.repeat(A.values[:, None], rhs.shape[1], axis=1), rhs])
+        digest.update(evaluate(net, batch).tobytes())
+        digest.update(evaluate(net, batch[:, 0]).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "method, build, d, N, digest",
+    [
+        ("richardson", build_richardson_net, 1, 4,
+         "3d3a8d06c9cc9bbcf8796d7ed37fc5d7365ff97625d26b95a1482d2adc8f7077"),
+        ("cg", build_cg_net, 1, 4,
+         "bc677f4581f46c55e30f8ee794536d43e4090675780857da6677abda138be115"),
+        ("richardson", build_richardson_net, 2, 3,
+         "04b7a572bad07ac3efcf32e764b82fc161fb1492f9cfb9d76373d9d58180c990"),
+        ("cg", build_cg_net, 2, 3,
+         "dc371a74c3817b3fa47956f299b582b89e2e05a93c57342316b7d24e1e7a59c7"),
+    ],
+)
+def test_solver_outputs_are_frozen(method, build, d, N, digest):
+    # the configs of the saved-file pins; these pin the computed function,
+    # not the layer layout that computes it
+    fem = gen_laplacian(d, N)
+    net = build(fem.pattern, fem.spectral, SolverConfig(method, 0.5))
+    assert _output_digest(net, fem) == digest
 
 
 def _valid_net():
