@@ -2,9 +2,13 @@
 
 The squaring primitive is the piecewise-linear interpolation of x^2 obtained
 by subtracting scaled sawtooth compositions: f_s(u) = u - sum_t g^(t)(u)/4^t
-on [0, 1], with |f_s(u) - u^2| <= 2^(-2s-2).  Products come from the
+on [0, 1].  f_s interpolates the convex u^2 at the grid points k 2^(-s), so
+it lies above it: 0 <= f_s(u) - u^2 <= 2^(-2s-2).  Products come from the
 polarization identity x*y = ((x+y)^2 - (x-y)^2)/4 evaluated with both chains
-at the same input scale, which keeps net(0, y) = net(x, 0) = 0 exact: the two
+at the same input scale.  Both squares err on the same side, so a term
+w (f_s(|u|) - f_s(|v|)) is off by at most |w| 2^(-2s-2), and a net whose
+terms must meet |w| 2^(-level) takes s = ceil(level/2 - 1) stages
+(_refinement).  The shared scale keeps net(0, y) = net(x, 0) = 0 exact: the two
 chains then carry bitwise-identical values, and the summation rows interleave
 each +coefficient with its - partner in adjacent columns so the CSR product
 (which accumulates in ascending column order) cancels them exactly.
@@ -219,7 +223,8 @@ def square_net(s: int, D: float = 1.0) -> ReluNetwork:
 
 
 def _refinement(level_arg: float) -> int:
-    return max(1, math.ceil(level_arg / 2.0))
+    """Fewest saw stages s >= 1 with 2^(-2s-2) <= 2^(-level_arg)."""
+    return max(1, math.ceil(level_arg / 2.0 - 1.0))
 
 
 def mult_net(eps: float, D: float = 1.0) -> ReluNetwork:

@@ -335,6 +335,7 @@ def cmd_audit(args) -> int:
                         "M": rec.weights,
                         "ratio_L": rec.ratio_L,
                         "ratio_M": rec.ratio_M,
+                        "neurons": rec.neurons,
                     }
                 )
     for method in methods:
@@ -345,7 +346,9 @@ def cmd_audit(args) -> int:
             row["flagged"] = row["ratio_L"] > 4.0 * min_l or row["ratio_M"] > 4.0 * min_m
     if args.format == "csv":
         buf = io.StringIO()
-        fields = ["method", "n", "eta", "kappa", "eps", "m", "L", "M", "ratio_L", "ratio_M", "flagged"]
+        # neurons comes last, so the columns before it keep their places
+        fields = ["method", "n", "eta", "kappa", "eps", "m", "L", "M", "ratio_L", "ratio_M", "flagged",
+                  "neurons"]
         writer = csv.DictWriter(buf, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)

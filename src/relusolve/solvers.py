@@ -2,13 +2,14 @@
 
 Both builders are one call into _build, the skeleton the methods share: the
 checks, the exact affine net when kappa == 1, else an exact affine rescale
-layer, m (or m+1) step networks chained by sparse concatenation, and an
-exact affine output layer.  The rescale writes B^v = b_diag I + b_scale A
-over the pattern and r_scale r at state offset r_at; the output reads
-x_scale * state[x_at : x_at + n].  Each method's branch sets only those
-numbers, m, delta, z, the steps and its metadata extras: Richardson's
-B^v = I - omega A, r_scale = omega and x the running sum; cg's
-B^v = sigma0 I - (slope/Lam) A, r_scale = 1/Lam and x = final_scale b_0.
+layer, m step networks chained by sparse concatenation, and an exact affine
+output layer.  The rescale writes B^v = b_diag I + b_scale A over the
+pattern and r_scale r at state offset r_at; the output reads x_scale times
+the sum of the n-blocks at the offsets x_at.  Each method's branch sets only
+those numbers, m, delta, z, the steps and its metadata extras: Richardson's
+B^v = I - omega A, r_scale = omega and x the running sum plus the last
+iterate; cg's B^v = sigma0 I - (slope/Lam) A, r_scale = 1/Lam and
+x = final_scale b_0.
 
 Both steps also share one body: identity channels on the matrix
 values, a matvec, and an exact carry member beside them.  The Richardson
@@ -22,22 +23,33 @@ Both networks take the concatenation (A^v, r) of matrix values and
 right-hand side as input and approximate A^{-1} r to the configured
 accuracy.
 
-Each step's matvec is built for inputs of norm at most z, and a smaller z
-means fewer sawtooth stages per matvec.  The matvec reads only v (Richardson)
-or b_next (cg), and both stay bounded:
+Each step's matvec is built at accuracy delta for inputs of norm at most z;
+a larger delta or a smaller z means fewer sawtooth stages per matvec.  Both
+come from how a matvec error reaches the output:
 
-Lemma (Richardson, z = 2).  validate_against gives c_sc <= (1 + kappa)/2,
-so ||v_0|| = omega ||r|| <= 2 c_sc / (1 + kappa) <= 1.  ||B|| = rho_1 < 1,
-and each of the m + 1 matvecs adds at most delta = eps / (2 m^2), so
-||v_k|| <= 1 + (m + 1) delta < 2.
+Lemma (Richardson).  The m steps map (v, c) to (B v, v + c) from
+v_0 = omega r, c_0 = 0, and the output reads x = c + v = sum_{k<=m} v_k.
+validate_against gives c_sc <= (1 + kappa)/2, so ||v_0|| = omega ||r|| <=
+2 c_sc / (1 + kappa) <= 1, and spec(B) lies in [-rho, rho], rho = rho_1 < 1.
+Exactly, x = (I - B^(m+1)) A^{-1} r, off by at most rho^(m+1) c_sc.  The
+error e_j of matvec j < m reaches x as P_{m-1-j}(B) e_j with
+P_i(B) = sum_{l<=i} B^l, and ||P_i(B)|| <= min(i + 1, 1/(1 - rho)) =
+min(i + 1, (1 + kappa)/2).  So
+delta = (eps - rho^(m+1) c_sc) / sum_{i=1..m} min(i, (1 + kappa)/2) meets
+eps.  The matvec input v_k is off by at most k delta, so z = 1 + m delta.
 
-Lemma (cg, z = max(1, (c_sc/kappa) max_k S_k + eps/4)).  With normalized
-coefficients c_j, b_k = sum_{j>=k} c_j U_{j-k}(B) rhat.  spec(B) lies in
-[-1, 1], so ||U_i(B)|| <= i + 1, and ||rhat|| = ||r|| / Lam <= c_sc / kappa;
-hence ||b_k|| <= (c_sc/kappa) S_k with S_k = sum_{j>=k} c_j (j - k + 1).
-Each matvec error e reaches b_k as U_i(B) e, so the computed b_k are off by
-at most m (m + 1)/2 delta <= eps/4, as delta = eps / (2 (m + 1)^2 max(1,
-|final_scale|)); z adds that eps/4.
+Lemma (cg).  With normalized coefficients c_j, b_k = sum_{j>=k} c_j
+U_{j-k}(B) rhat and x = final_scale b_0 = p(A) r, whose residual
+polynomial 1 - t p(t) = T_m(sigma(t)) / T_m(sigma0) is at most
+1 / T_m(sigma0) on the bracket; ||A^{-1} r|| <= c_sc, so the truncation is
+at most c_sc / T_m(sigma0).  spec(B) lies in [-1, 1], so ||U_i(B)|| <= i + 1;
+the error of the matvec that makes b_k reaches b_0 as U_k(B) e, so x is off
+by at most |final_scale| m (m + 1)/2 delta, and
+delta = (eps - c_sc / T_m(sigma0)) / (|final_scale| m (m + 1)/2) meets eps.
+The matvecs read b_1 .. b_m (b_m = 0).  ||rhat|| = ||r|| / Lam <=
+c_sc / kappa, so exactly ||b_k|| <= (c_sc/kappa) S_k with
+S_k = sum_{j>=k} c_j (j - k + 1), and each computed b_k is off by at most
+m (m + 1)/2 delta; z = max(1, (c_sc/kappa) max_{k>=1} S_k + m (m + 1)/2 delta).
 """
 
 from __future__ import annotations
@@ -154,7 +166,8 @@ class ChebyshevPlan:
 
     coeffs[l] = alpha_l / alpha_max with denormalized alpha_l = 2 T_{m-1-l}
     at sigma0 for l <= m-2 and alpha_{m-1} = 1; final_scale maps the
-    normalized Clenshaw output b_0 back to the solution estimate.
+    normalized Clenshaw output b_0 back to the solution estimate;
+    truncation = 1 / T_m(sigma0) bounds the residual polynomial on the bracket.
     """
 
     degree: int
@@ -162,6 +175,7 @@ class ChebyshevPlan:
     coeffs: tuple = field(repr=False)
     alpha_max: float
     final_scale: float
+    truncation: float
 
 
 def _log_cheb_t(j: int, t0: float) -> float:
@@ -187,13 +201,14 @@ def cheb_plan(m: int, spec: SpectralClass) -> ChebyshevPlan:
     log_max = max(log_alpha)
     coeffs = tuple(math.exp(la - log_max) for la in log_alpha)
     slope = 2.0 * kappa / (kappa - 1.0)
-    final_scale = math.exp(math.log(slope) + log_max - _log_cheb_t(m, t0))
+    log_t_m = _log_cheb_t(m, t0)
     return ChebyshevPlan(
         degree=m,
         sigma0=sigma0,
         coeffs=coeffs,
         alpha_max=math.exp(log_max),
-        final_scale=final_scale,
+        final_scale=math.exp(math.log(slope) + log_max - log_t_m),
+        truncation=math.exp(-log_t_m),
     )
 
 
@@ -302,33 +317,39 @@ def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: Solver
         # kappa = 1 means A = lam * I on the spectrum, so x = r / lam exactly
         layer = make_layer((n, eta + n), idx, eta + idx, np.full(n, 1.0 / spec.lam))
         return ReluNetwork([layer], metadata=meta)
+    eps, c_sc, kappa = config.epsilon, config.c_sc, spec.kappa
     if method == "richardson":
         omega = spec.omega
-        m = m_richardson(config.epsilon, config.c_sc, rho_alpha(spec, 1.0))
-        delta = config.epsilon / (2.0 * m * m)
-        z = 2.0  # bounds every ||v_k||, by the Richardson lemma above
-        steps = [richardson_step_net(pattern, delta, z)] * (m + 1)
-        # state (B^v, v, c): B^v = I - omega A, v = omega r, c = 0; x = c
+        rho = rho_alpha(spec, 1.0)
+        m = m_richardson(eps, c_sc, rho)
+        # the Richardson lemma above: matvec j's error reaches x with weight
+        # min(m - j, (1 + kappa)/2)
+        weight = float(np.minimum(np.arange(1, m + 1), (1.0 + kappa) / 2.0).sum())
+        delta = (eps - rho ** (m + 1) * c_sc) / weight
+        z = 1.0 + m * delta
+        steps = [richardson_step_net(pattern, delta, z)] * m
+        # state (B^v, v, c): B^v = I - omega A, v = omega r, c = 0; x = v + c
         b_diag, b_scale, r_scale, r_at = 1.0, -omega, omega, eta
-        x_scale, x_at = 1.0, eta + n
+        x_scale, x_at = 1.0, (eta, eta + n)
         extra = {"omega": omega}
     else:
-        m = m_cg(config.epsilon, config.c_sc, rho_alpha(spec, 0.5))
+        m = m_cg(eps, c_sc, rho_alpha(spec, 0.5))
         plan = cheb_plan(m, spec)
-        delta = config.epsilon / (2.0 * (m + 1) ** 2 * max(1.0, abs(plan.final_scale)))
+        budget = m * (m + 1) / 2.0  # the cg lemma's weight on delta
+        delta = (eps - c_sc * plan.truncation) / (abs(plan.final_scale) * budget)
         # the cg lemma above: two cumulative sums over the reversed coefficients
         # give every S_k = sum_{j>=k} coeffs[j] (j - k + 1) in O(m), as m reaches
-        # the thousands at large kappa
+        # the thousands at large kappa; the last one is S_0, which no matvec reads
         sums = np.cumsum(np.cumsum(plan.coeffs[::-1]))
-        z = max(1.0, config.c_sc / spec.kappa * float(sums.max()) + config.epsilon / 4.0)
+        z = max(1.0, c_sc / kappa * float(sums[:-1].max(initial=0.0)) + budget * delta)
         # one body for all m steps; only the fused output layer depends on alpha_bar
         body = _clenshaw_body(pattern, delta, z)
         steps = [_fuse_combination(body, pattern, plan.coeffs[k]) for k in range(m - 1, -1, -1)]
         # state (B^v, b_next, b_nextnext, rhat): B^v = sigma0 I - (slope/Lam) A,
         # rhat = r / Lam, Clenshaw carries start at zero; x = final_scale * b_0
-        slope = 2.0 * spec.kappa / (spec.kappa - 1.0)
+        slope = 2.0 * kappa / (kappa - 1.0)
         b_diag, b_scale, r_scale, r_at = plan.sigma0, -slope / spec.Lam, 1.0 / spec.Lam, eta + 2 * n
-        x_scale, x_at = plan.final_scale, eta
+        x_scale, x_at = plan.final_scale, (eta,)
         extra = {"sigma0": plan.sigma0, "final_scale": plan.final_scale}
     width = steps[0].input_dim
     p = np.arange(eta)
@@ -341,7 +362,12 @@ def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: Solver
         np.concatenate([np.full(eta, b_scale), np.full(n, r_scale)]),
         bias,
     )
-    post = make_layer((n, width), idx, x_at + idx, np.full(n, x_scale))
+    post = make_layer(
+        (n, width),
+        np.tile(idx, len(x_at)),
+        np.concatenate([at + idx for at in x_at]),
+        np.full(n * len(x_at), x_scale),
+    )
     net = pipeline([ReluNetwork([pre])] + steps + [ReluNetwork([post])])
     meta.update(m=m, **extra, delta=delta, z=z)
     net.metadata = meta
@@ -351,7 +377,7 @@ def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: Solver
 def build_richardson_net(
     pattern: SparsityPattern, spec: SpectralClass, config: SolverConfig
 ) -> ReluNetwork:
-    """Solver net for A x = r via m+1 damped fixed-point steps.
+    """Solver net for A x = r via m damped fixed-point steps.
 
     Input (A^v, r) of length eta + n, output of length n; for every
     symmetric A in the pattern class with spectrum in [lam, Lam] and
@@ -378,12 +404,14 @@ class AuditRecord:
     denom: float
     ratio_L: float
     ratio_M: float
+    neurons: int
 
 
 def audit_complexity(net: ReluNetwork, m: int, eps: float, n: int, eta: int) -> AuditRecord:
     """Measured (depth, weights) against the m(log2(1/eps)+log2 n+log2 m) shape.
 
-    ratio_L divides the depth by that factor, ratio_M additionally by eta.
+    ratio_L divides the depth by that factor, ratio_M additionally by eta;
+    neurons (summed hidden widths) is reported beside them.
     """
     if m < 1:
         raise ValueError("audit needs an iterative build (m >= 1)")
@@ -395,4 +423,5 @@ def audit_complexity(net: ReluNetwork, m: int, eps: float, n: int, eta: int) -> 
         denom=denom,
         ratio_L=st.depth / denom,
         ratio_M=st.weights / (denom * eta),
+        neurons=st.neurons,
     )

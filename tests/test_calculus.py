@@ -241,16 +241,16 @@ FROZEN_NETS = {
         "1a5bc67a17f010224b0040bf34d43fddb2e78e871d7c26bf8424abe37864bbed"),
     "mult_net(1e-2, 4)": (
         lambda: mult_net(1e-2, 4.0),
-        "cc729ee614907c4d404b4c9da7dff3117bf093506e537d1f6adc82f075c06fe6"),
+        "cec8010b749548bacbf50a36f7fb7b0f3258a0394ab905093660f88939c9a9c9"),
     "scalar_product_net(3, 1e-3, 5)": (
         lambda: scalar_product_net(3, 1e-3, 5.0),
-        "52bcfe9bd9be447e581dbbafc0d6accdaca3af24f0948286ed83df14d902d50c"),
+        "ddbff97073ce4123d17e3bbb212fce496a20db3750635a7e846bbbf6d3d0a40b"),
     "sparse_matvec_net(lap1d 5)": (
         lambda: sparse_matvec_net(gen_laplacian(1, 5).pattern, 1e-2, 3.0, -2.5),
-        "0e53943d505cd0c4b93bc45371f37980ad5f0cc1210c81a47e5faf34494b5bd5"),
+        "2463f693644bbbf48ab2391ebeee45f68edaf0be82928a716fbe5f1a1fce72b2"),
     "sparse_matvec_net(lap2d 3)": (
         lambda: sparse_matvec_net(gen_laplacian(2, 3).pattern, 1e-2, 3.0, -2.5),
-        "2b57bd388d6840220d473aaa996b2c30ac4f34a7fa3a5d3a63f530e82178e4c0"),
+        "dbcb1dafefcfa97b3db19b68c88e9c80c7d07d2ec916139971fac8d4ebb32cda"),
     "identity_net(3, 4)": (
         lambda: identity_net(3, 4),
         "46f2722d2eeba5e328dcb71f7f5872f20d02fa417f3a12486501f0577aa7e0d8"),
@@ -265,7 +265,7 @@ FROZEN_NETS = {
         "20c007945e6c7ca4e79858182012f02d843091c4674d15970f0ce9cf6e03a170"),
     "parallelize_shared": (
         _small_parallel,
-        "6a08b6ae11d7becad8f52e17ad31149dcaf27c359a7843b5215029b47afec7c8"),
+        "55d2760a24c85762725694e700ea628807bcb0efed70b41e7c40075010978b59"),
 }
 
 

@@ -129,10 +129,12 @@ def test_verify_passes_on_intact_network(capsys, tmp_path):
 
 def test_verify_fails_on_zeroed_weight(capsys, tmp_path):
     path, _ = build_small_net(capsys, tmp_path, eps="0.1")
-    # the output layer reads a (+, -) channel pair per component; negate both
-    # weights of component 0 so that output coordinate changes sign
+    # the output layer reads (+, -) channel pairs per component; negate every
+    # weight of component 0 (row 0) so that output coordinate changes sign
     def negate(arrays):
-        arrays["data"][weights_at(arrays, -1)][:2] *= -1.0
+        entry = arrays["program"][-1]
+        row_0_end = arrays["indptr"][int((arrays["shapes"][:entry, 0] + 1).sum()) + 1]
+        arrays["data"][weights_at(arrays, -1)][:row_0_end] *= -1.0
 
     tamper(path, negate)
     rc, out, err = run_cli(
@@ -200,9 +202,9 @@ def test_eval_and_verify_reject_mistyped_metadata(capsys, tmp_path, key, value):
 
 
 def test_verify_loads_a_deep_network_in_a_4_gb_address_space(capsys, tmp_path):
-    # richardson n=32, eps=0.1: 11,256 positions over 19 distinct layers
+    # richardson n=32, eps=0.1: 9,256 positions over 16 distinct layers
     path, report = build_small_net(capsys, tmp_path, eps="0.1", n="32")
-    assert report["results"]["stats"]["depth"] == 11256
+    assert report["results"]["stats"]["depth"] == 9256
     limit = 4_000_000_000
 
     def limit_address_space():
@@ -439,6 +441,7 @@ def test_audit_csv_table(capsys, tmp_path):
     assert len(rows) == 2
     assert list(rows[0]) == [
         "method", "n", "eta", "kappa", "eps", "m", "L", "M", "ratio_L", "ratio_M", "flagged",
+        "neurons",
     ]
     assert {row["m"] for row in rows} == {"23", "49"}
     assert all(row["flagged"] == "False" for row in rows)
@@ -473,6 +476,24 @@ def test_audit_json_report(capsys):
     report = json.loads(out)
     rows = report["results"]["rows"]
     assert len(rows) == 1 and rows[0]["m"] == 6 and rows[0]["flagged"] is False
+
+
+def test_audit_reports_neurons_in_both_formats(capsys, tmp_path):
+    # the paper states its bounds in neurons: each row carries stats' count
+    # of the net it audits, in the csv's last column
+    rc, out, err = run_cli(capsys, "audit", "--n", "8", "--eps", "0.5", "--method", "richardson,cg",
+                           "--out", str(tmp_path / "audit.csv"))
+    assert rc == 0, err
+    csv_rows = list(csv.DictReader((tmp_path / "audit.csv").read_text().splitlines()))
+    rc, out, err = run_cli(capsys, "audit", "--n", "8", "--eps", "0.5", "--method", "richardson,cg",
+                           "--format", "json")
+    assert rc == 0, err
+    json_rows = json.loads(out)["results"]["rows"]
+    for method, csv_row, json_row in zip(("richardson", "cg"), csv_rows, json_rows, strict=True):
+        _, report = build_small_net(capsys, tmp_path, method=method)
+        neurons = report["results"]["stats"]["neurons"]
+        assert list(csv_row)[-1] == "neurons" and csv_row["neurons"] == str(neurons)
+        assert json_row["neurons"] == neurons
 
 
 def test_audit_resolves_each_problem_once_per_size(capsys, tmp_path, monkeypatch):

@@ -269,13 +269,18 @@ def test_matvec_input_stays_within_z_at_maximal_scale(label, method):
         v, c = omega * rhs, np.zeros_like(rhs)
         state = np.vstack([np.repeat(b_vals[:, None], 4, axis=1), v, c])
         B = SparseMatrix(pattern, b_vals).to_dense()
-        for k in range(m + 1):
+        # matvec j's error reaches the carry after step k through sum_{i<=k-j} B^i
+        weights = np.minimum(np.arange(m + 1), (1.0 + kappa) / 2.0)
+        for k in range(m):
             assert float(np.linalg.norm(state[eta : eta + n], axis=0).max()) <= z
             state = evaluate(step, state)
             v, c = B @ v, v + c
             # each matvec adds at most delta to v; the exact carry sums v's errors
             assert gap(state, 0, v) <= (k + 1) * delta
-            assert gap(state, 1, c) <= k * (k + 1) / 2 * delta
+            assert gap(state, 1, c) <= weights[: k + 1].sum() * delta
+        # the output reads x = c + v, off by at most the lemma's whole budget
+        x = state[eta : eta + n] + state[eta + n :]
+        assert float(np.linalg.norm(x - (v + c), axis=0).max()) <= weights.sum() * delta
     else:
         plan = cheb_plan(m, spec)
         b_vals = (-2.0 * kappa / (kappa - 1.0) / spec.Lam) * A.values
@@ -290,6 +295,39 @@ def test_matvec_input_stays_within_z_at_maximal_scale(label, method):
             state = evaluate(clenshaw_step_net(pattern, plan.coeffs[k], delta, z), state)
             b_next, b_nn = plan.coeffs[k] * rhat + 2.0 * (B @ b_next) - b_nn, b_next
             assert gap(state, 0, b_next) <= budget and gap(state, 1, b_nn) <= budget
+
+
+def _budget_cases():
+    """(pattern, class): criterion 04's Laplacians, laplacian2d N in {3, 4, 8}
+    and the random problem's pattern and class."""
+    for d, sizes in ((1, (8, 16, 32)), (2, (3, 4, 8))):
+        for N in sizes:
+            fem = gen_laplacian(d, N)
+            yield fem.pattern, fem.spectral
+    yield gen_laplacian(1, 8).pattern, SpectralClass(1.0, 100.0)
+
+
+@pytest.mark.parametrize("method", ["richardson", "cg"])
+def test_truncation_plus_arithmetic_budget_stays_within_eps(method):
+    # the solvers lemmas, recomputed from each build's metadata: the truncation
+    # plus delta times the weight its errors reach x with is at most eps
+    build = build_richardson_net if method == "richardson" else build_cg_net
+    for pattern, spec in _budget_cases():
+        c_max = (1.0 + spec.kappa) / 2.0 if method == "richardson" else spec.kappa
+        for eps in (0.5, 0.1, 0.02):
+            for c_sc in (1.0, c_max):
+                meta = build(pattern, spec, SolverConfig(method, eps, c_sc)).metadata
+                m, delta, kappa = meta["m"], meta["delta"], meta["kappa"]
+                if method == "richardson":
+                    rho = (kappa - 1.0) / (kappa + 1.0)
+                    truncation = rho ** (m + 1) * c_sc
+                    weight = sum(min(i, (1.0 + kappa) / 2.0) for i in range(1, m + 1))
+                else:
+                    truncation = c_sc / math.cosh(m * math.acosh(meta["sigma0"]))
+                    weight = abs(meta["final_scale"]) * m * (m + 1) / 2.0
+                assert delta > 0.0
+                # the slack covers the rounding of the two sides' arithmetic
+                assert truncation + delta * weight <= eps * (1.0 + 1e-9)
 
 
 def test_matvec_input_bound_never_exceeds_the_state_bound():
