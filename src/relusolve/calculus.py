@@ -2,8 +2,13 @@
 
 identity_net, affine_net and scale_add_net are the exact primitives;
 pipeline composes networks through split/merge junctions (f after g is
-pipeline((g, f))) and parallelize stacks networks block-diagonally,
-depth-padding the shorter ones with identities at the output side.
+pipeline((g, f))) and parallelize stacks networks block-diagonally.
+
+One rule, _carry, applies an exact affine layer W with k rows at depth
+L >= 2: kron(W, SPLIT), L - 2 shared I_2k layers and kron(I_k, MERGE), which
+store 2 w(W) + 2k(L - 1) weights (w counts weights and nonzero biases).
+identity_net is the rule on I_k, scale_add_net on [alpha I, I] at depth 2,
+and parallelize carries a shorter member's last layer to the common depth.
 
 Channel convention: identity channels come in interleaved (+, -) pairs, so a
 value x is carried as (relu(x), relu(-x)) in adjacent coordinates and
@@ -40,9 +45,22 @@ SPLIT = sp.csr_matrix([[1.0], [-1.0]])
 MERGE = sp.csr_matrix([[1.0, -1.0]])
 
 
-def _recombine_layer(k: int) -> Layer:
-    """Read k values back from their interleaved (+, -) pairs."""
-    return Layer(sp.kron(sp.identity(k), MERGE))
+def _split_layer(layer: Layer) -> Layer:
+    """Duplicate a layer's rows as interleaved (+, -) pairs."""
+    return Layer(sp.kron(layer.weight, SPLIT), np.kron(layer.bias, [1.0, -1.0]))
+
+
+def _merge_first(layer: Layer) -> Layer:
+    """Rewrite a layer to read interleaved (+, -) pairs: column j -> (2j, 2j+1)."""
+    return Layer(sp.kron(layer.weight, MERGE), layer.bias)
+
+
+def _carry(layer: Layer, L: int) -> list:
+    """The layers that apply one exact affine layer at depth L >= 1."""
+    if L == 1:
+        return [layer]
+    mid = Layer(sp.identity(2 * layer.rows))
+    return [_split_layer(layer)] + [mid] * (L - 2) + [_merge_first(Layer(sp.identity(layer.rows)))]
 
 
 def identity_net(k: int, L: int) -> ReluNetwork:
@@ -51,9 +69,7 @@ def identity_net(k: int, L: int) -> ReluNetwork:
         raise ValueError("identity networks need depth at least 2")
     if k < 1:
         raise ValueError("dimension must be positive")
-    first = Layer(sp.kron(sp.identity(k), SPLIT))
-    mid = Layer(sp.identity(2 * k))
-    return ReluNetwork([first] + [mid] * (L - 2) + [_recombine_layer(k)])
+    return ReluNetwork(_carry(Layer(sp.identity(k)), L))
 
 
 def affine_net(weight, bias=None) -> ReluNetwork:
@@ -67,18 +83,7 @@ def scale_add_net(alpha: float, n: int) -> ReluNetwork:
         raise ValueError("dimension must be positive")
     eye = sp.identity(n)
     # Layer drops the zeros of alpha = 0
-    hidden = Layer(sp.kron(sp.hstack([float(alpha) * eye, eye]), SPLIT))
-    return ReluNetwork([hidden, _recombine_layer(n)])
-
-
-def _split_layer(layer: Layer) -> Layer:
-    """Duplicate a layer's rows as interleaved (+, -) pairs."""
-    return Layer(sp.kron(layer.weight, SPLIT), np.kron(layer.bias, [1.0, -1.0]))
-
-
-def _merge_first(layer: Layer) -> Layer:
-    """Rewrite a layer to read interleaved (+, -) pairs: column j -> (2j, 2j+1)."""
-    return Layer(sp.kron(layer.weight, MERGE), layer.bias)
+    return ReluNetwork(_carry(Layer(sp.hstack([float(alpha) * eye, eye])), 2))
 
 
 def pipeline(stages) -> ReluNetwork:
@@ -107,27 +112,12 @@ def pipeline(stages) -> ReluNetwork:
     return ReluNetwork(layers)
 
 
-def _extend_depth(net: ReluNetwork, target: int) -> ReluNetwork:
-    """Pad a network to the target depth with an exact identity at the output."""
-    gap = target - net.depth
-    if gap < 0:
-        raise ValueError("cannot shrink a network")
-    if gap == 0:
-        return net
-    if gap == 1:
-        layers = list(net.layers)
-        layers[-1] = _split_layer(layers[-1])
-        layers.append(_recombine_layer(net.output_dim))
-        return ReluNetwork(layers)
-    return pipeline((net, identity_net(net.output_dim, gap)))
-
-
 def parallelize_shared(nets, col_maps, n_in: int) -> ReluNetwork:
     """Stack networks block-diagonally over a shared input space.
 
     col_maps[i] maps member i's input coordinates to global input columns;
     members may read overlapping columns.  Outputs are concatenated in member
-    order.  Shorter members are identity-padded at the output side.
+    order.  A shorter member's last layer is carried to the common depth.
     """
     nets = list(nets)
     if not nets:
@@ -143,10 +133,10 @@ def parallelize_shared(nets, col_maps, n_in: int) -> ReluNetwork:
             raise ValueError("column map index out of range")
         maps.append(cmap)
     target = max(net.depth for net in nets)
-    padded = [_extend_depth(net, target) for net in nets]
+    padded = [list(net.layers[:-1]) + _carry(net.layers[-1], target - net.depth + 1) for net in nets]
     # the first level scatters member columns through the maps; make_layer
     # refuses a map that makes one row read a column twice
-    heads = [member.layers[0] for member in padded]
+    heads = [layers[0] for layers in padded]
     coos = [head.weight.tocoo() for head in heads]
     row_at = np.cumsum([0] + [head.rows for head in heads])
     first = make_layer(
@@ -159,7 +149,7 @@ def parallelize_shared(nets, col_maps, n_in: int) -> ReluNetwork:
     rest = [
         Layer(sp.block_diag([layer.weight for layer in level]),
               np.concatenate([layer.bias for layer in level]))
-        for level in zip(*(member.layers[1:] for member in padded))
+        for level in zip(*(layers[1:] for layers in padded))
     ]
     return ReluNetwork([first] + rest)
 

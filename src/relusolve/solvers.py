@@ -12,9 +12,10 @@ iterate; cg's B^v = sigma0 I - (slope/Lam) A, r_scale = 1/Lam and
 x = final_scale b_0.
 
 Both steps also share one body: identity channels on the matrix
-values, a matvec, and an exact carry member beside them.  The Richardson
-step is that body, mapping (A, r, c) to (A, Ar, r + c) with a scale_add
-carry; the cg-type step runs the Clenshaw recurrence
+values, a matvec, and an exact affine carry beside them, each carried to
+the matvec's depth by parallelize_shared.  The Richardson step is that
+body, mapping (A, r, c) to (A, Ar, r + c) with the carry [I, I]; the
+cg-type step runs the Clenshaw recurrence
 b_k = alpha_k r + 2 B b_next - b_nextnext against the Chebyshev
 coefficients of the optimal solver polynomial, with identity carries and
 the combination C(alpha_k) fused into the body's last layer.  The cg branch
@@ -58,9 +59,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .arithmetic import SparsityPattern, sparse_matvec_net
-from .calculus import identity_net, parallelize_shared, pipeline, scale_add_net
+from .calculus import affine_net, parallelize_shared, pipeline
 from .network import Layer, ReluNetwork, make_layer, stats
 
 __all__ = [
@@ -213,18 +215,19 @@ def cheb_plan(m: int, spec: SpectralClass) -> ChebyshevPlan:
 
 
 def _step_body(pattern: SparsityPattern, delta: float, z: float, scale: float, carry, carry_cols):
-    """Parallel step body (B^v, scale * B v, carry) on the state (B^v, v, ...).
+    """Parallel step body (B^v, scale * B v, carry u) on the state (B^v, v, ...).
 
     B^v rides exact identity channels and scale * B v is a matvec at accuracy
-    delta for ||B||_2 <= 1, ||v||_2 <= z.  carry(d) builds the exact carry
-    member at the matvec depth d; it reads the state columns carry_cols.
+    delta for ||B||_2 <= 1, ||v||_2 <= z.  The sparse matrix carry applies
+    exactly to u, the state columns carry_cols; parallelize_shared carries
+    it and the identity down to the matvec's depth.
     """
     n, eta = pattern.n, pattern.eta
     mv = sparse_matvec_net(pattern, delta, z, scale=scale)
     # build the identity member before the carry: with the carry first, the
     # layers are the same but the peak RSS of saving and loading a 2-d
     # Laplacian richardson net rose by about 3% in most runs
-    members = [identity_net(eta, mv.depth), mv, carry(mv.depth)]
+    members = [affine_net(sp.identity(eta)), mv, affine_net(carry)]
     maps = [range(eta), range(eta + n), carry_cols]
     return parallelize_shared(members, maps, eta + len(carry_cols))
 
@@ -232,14 +235,11 @@ def _step_body(pattern: SparsityPattern, delta: float, z: float, scale: float, c
 def richardson_step_net(pattern: SparsityPattern, delta: float, z: float) -> ReluNetwork:
     """One iteration map (A^v, r, c) -> (A^v, A r, r + c) on eta + 2n channels.
 
-    The matrix block is carried by exact identity channels, r + c by an exact
-    scale_add, and A r by a matvec at accuracy delta for ||A||_2 <= 1,
-    ||r||_2 <= z.
+    The matrix block and r + c are carried by exact identity channels, and
+    A r by a matvec at accuracy delta for ||A||_2 <= 1, ||r||_2 <= z.
     """
     n, eta = pattern.n, pattern.eta
-    return _step_body(
-        pattern, delta, z, 1.0, lambda d: scale_add_net(1.0, n), range(eta, eta + 2 * n)
-    )
+    return _step_body(pattern, delta, z, 1.0, sp.hstack([sp.identity(n)] * 2), range(eta, eta + 2 * n))
 
 
 def _clenshaw_body(pattern: SparsityPattern, delta: float, z: float) -> ReluNetwork:
@@ -247,7 +247,7 @@ def _clenshaw_body(pattern: SparsityPattern, delta: float, z: float) -> ReluNetw
     n, eta = pattern.n, pattern.eta
     rhat, b_nn, b_next = (np.arange(eta + k * n, eta + (k + 1) * n) for k in (2, 1, 0))
     carry_cols = np.concatenate([rhat, b_nn, b_next])
-    return _step_body(pattern, delta, z, 2.0, lambda d: identity_net(3 * n, d), carry_cols)
+    return _step_body(pattern, delta, z, 2.0, sp.identity(3 * n), carry_cols)
 
 
 def _fuse_combination(

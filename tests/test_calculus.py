@@ -18,7 +18,7 @@ from relusolve.calculus import (
     scale_add_net,
 )
 from relusolve.arithmetic import mult_net, scalar_product_net, sparse_matvec_net, square_net
-from relusolve.network import evaluate, network_to_dict, stats
+from relusolve.network import ReluNetwork, evaluate, network_to_dict, stats
 from relusolve.problems import gen_laplacian
 
 
@@ -159,6 +159,33 @@ def test_parallelize_pads_depth_gap_of_one():
     assert np.array_equal(evaluate(net, x), x)
 
 
+def test_parallelize_pads_a_member_for_its_last_layer_plus_two_k_per_layer():
+    # a member gap layers short has its last layer W (k rows) replaced by
+    # kron(W, SPLIT), gap - 1 identity layers on 2k channels and
+    # kron(I_k, MERGE): w(W) + 2 k gap more weights, biases included
+    rng = np.random.default_rng(19)
+    for _ in range(5):
+        members = []
+        for depth in rng.permutation(5) + 1:
+            dims = rng.integers(1, 5, size=depth + 1)
+            layers = [random_affine(rng, int(rows), int(cols)).layers[0]
+                      for cols, rows in zip(dims, dims[1:])]
+            members.append(ReluNetwork(layers))
+        # increasing maps keep each row's CSR accumulation order, so the
+        # stack's first layer rounds as the members' own do
+        n_in = 6
+        maps = [np.sort(rng.choice(n_in, size=m.input_dim, replace=False)) for m in members]
+        net = parallelize_shared(members, maps, n_in)
+        assert net.depth == 5
+        extra = sum(stats(m).per_layer[-1] + 2 * m.output_dim * (5 - m.depth)
+                    for m in members if m.depth < 5)
+        assert weights_of(net) == sum(weights_of(m) for m in members) + extra
+        for _ in range(3):
+            x = rng.normal(size=n_in) * 3.0
+            want = np.concatenate([evaluate(m, x[cmap]) for m, cmap in zip(members, maps)])
+            assert np.array_equal(evaluate(net, x), want)
+
+
 def test_parallelize_shared_reads_overlapping_columns():
     double = affine_net(np.array([[2.0]]))
     triple = affine_net(np.array([[3.0]]))
@@ -253,19 +280,19 @@ FROZEN_NETS = {
         "dbcb1dafefcfa97b3db19b68c88e9c80c7d07d2ec916139971fac8d4ebb32cda"),
     "identity_net(3, 4)": (
         lambda: identity_net(3, 4),
-        "46f2722d2eeba5e328dcb71f7f5872f20d02fa417f3a12486501f0577aa7e0d8"),
+        "16be824e5fdcb72e436cc5b401554c5d40f375dcca080f58a021b66cb86d7023"),
     "scale_add_net(0, 3)": (
         lambda: scale_add_net(0.0, 3),
-        "07ab2ff9b803508ae7f4574af34df11a8052b71517605574825f8c7e3629d179"),
+        "031993a11e36ff4422c22fde1a4868ea4f016d31110fea8db501db4c719f9a32"),
     "scale_add_net(1.5, 3)": (
         lambda: scale_add_net(1.5, 3),
-        "9b2aec16bccdd599d0f89dd78a44b0ddead5943732412790510c450d713270c7"),
+        "e9d18ffcaa690fd6f97ef8c240197394cce1e7893a87de9a8ba7a402d79272a2"),
     "pipeline": (
         _small_pipeline,
-        "20c007945e6c7ca4e79858182012f02d843091c4674d15970f0ce9cf6e03a170"),
+        "f4fcc47b3a6b0f9cd4b4fdbb1207bbc41c3f922bc38ae4a536f4ad62a29ad944"),
     "parallelize_shared": (
         _small_parallel,
-        "55d2760a24c85762725694e700ea628807bcb0efed70b41e7c40075010978b59"),
+        "30db71e81575cd6b8020976c237867dd699b129b85827962337a8cea70d20417"),
 }
 
 

@@ -373,10 +373,10 @@ def assert_frozen_file(tmp_path, net, digest):
     "method, build, digest",
     [
         pytest.param("richardson", build_richardson_net,
-                     "5cac607456e310d3c1da61d73773764d46707ef42edd5a41692df83e9128e071",
+                     "43622d821a34fba732d5e3b8ab75b6a192ce93c1ed6b46d3b249a65b8aa647f7",
                      id="richardson-build_richardson_net"),
         pytest.param("cg", build_cg_net,
-                     "2df5b9e89ce3bf122a3174ebeb064af92ae20a5d627b6cf55bff25bf82205681",
+                     "4411729d16177f71e6121c85a853d4a112edb9ae3bf4dd5aeb25da3baa31e589",
                      id="cg-build_cg_net"),
     ],
 )
@@ -389,10 +389,10 @@ def test_saved_file_bytes_are_frozen(tmp_path, method, build, digest):
     "method, build, digest",
     [
         pytest.param("richardson", build_richardson_net,
-                     "8cf0059831d58293031c9a870b87842d98490d481205bf6ad311e305988145a5",
+                     "208d956106d537f6b3450e95981a37d9c577dbc2da9bd19ffa61446aecc7f359",
                      id="richardson-build_richardson_net"),
         pytest.param("cg", build_cg_net,
-                     "b75fed5428215864ecf8d145fe8be9bcfc64a9daac46b3b5a7448e70a22ffc13",
+                     "de4eed12236adb02a4e05346fc148e2fbe204e53d75accaf549097108bac0b71",
                      id="cg-build_cg_net"),
     ],
 )

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import pattern_of, random_operator, tridiagonal_pattern
 from oracles import divided_cheb_coeffs
-from relusolve.arithmetic import SparseMatrix
+from relusolve.arithmetic import SparseMatrix, sparse_matvec_net
 from relusolve.network import evaluate, stats
 from relusolve.problems import gen_laplacian, random_rhs, random_spd
 from relusolve.reference import solve_exact
@@ -18,6 +18,7 @@ from relusolve.solvers import (
     ChebyshevPlan,
     SolverConfig,
     SpectralClass,
+    _clenshaw_body,
     audit_complexity,
     build_cg_net,
     build_richardson_net,
@@ -216,6 +217,26 @@ def test_clenshaw_step_net_is_exact_when_matvec_vanishes():
 def test_clenshaw_step_net_rejects_unnormalized_coefficient():
     with pytest.raises(ValueError, match="normalized coefficient"):
         clenshaw_step_net(tridiagonal_pattern(3), 1.5, 1e-3, 1.0)
+
+
+@pytest.mark.parametrize("dim, N", [(1, 4), (1, 16), (2, 3)])
+def test_step_weights_are_closed_form_in_the_matvec_depth(dim, N):
+    # beside a matvec of depth d, the eta identity channels cost 2 d eta
+    # weights, Richardson's carry [I, I] 2 d n + 2n and cg's carry I_3n 6 d n;
+    # d runs from 3 to 14 over these cases
+    pattern = gen_laplacian(dim, N).pattern
+    n, eta = pattern.n, pattern.eta
+    for delta in (0.5, 1e-2, 1e-6):
+        mv = sparse_matvec_net(pattern, delta, 1.0)
+        d = mv.depth
+        assert stats(richardson_step_net(pattern, delta, 1.0)).weights == (
+            stats(mv).weights + 2 * d * (eta + n) + 2 * n
+        )
+        mv = sparse_matvec_net(pattern, delta, 1.0, scale=2.0)
+        d = mv.depth
+        assert stats(_clenshaw_body(pattern, delta, 1.0)).weights == (
+            stats(mv).weights + 2 * d * (eta + 3 * n)
+        )
 
 
 def test_cg_build_shares_one_step_body():
