@@ -2,16 +2,31 @@
 
 The squaring primitive is the piecewise-linear interpolation of x^2 obtained
 by subtracting scaled sawtooth compositions: f_s(u) = u - sum_t g^(t)(u)/4^t
-on [0, 1].  f_s interpolates the convex u^2 at the grid points k 2^(-s), so
-it lies above it: 0 <= f_s(u) - u^2 <= 2^(-2s-2).  Products come from the
-polarization identity x*y = ((x+y)^2 - (x-y)^2)/4 evaluated with both chains
-at the same input scale.  Both squares err on the same side, so a term
-w (f_s(|u|) - f_s(|v|)) is off by at most |w| 2^(-2s-2), and a net whose
-terms must meet |w| 2^(-level) takes s = ceil(level/2 - 1) stages
-(_refinement).  The shared scale keeps net(0, y) = net(x, 0) = 0 exact: the two
-chains then carry bitwise-identical values, and the summation rows interleave
-each +coefficient with its - partner in adjacent columns so the CSR product
-(which accumulates in ascending column order) cancels them exactly.
+on [0, 1] (Yarotsky, "Error bounds for approximations with deep ReLU
+networks", Neural Networks 94, 2017).  f_s interpolates the convex u^2 at the
+grid points k 2^(-s), so it lies above it: 0 <= f_s(u) - u^2 <= 2^(-2s-2).
+Products come from the polarization identity x*y = ((x+y)^2 - (x-y)^2)/4
+evaluated with both chains at the same input scale.  Both squares err on the
+same side, so a term w (f_s(|u|) - f_s(|v|)) is off by at most
+|w| 2^(-2s-2), and a net whose terms must meet |w| 2^(-level) takes
+s = ceil(level/2 - 1) stages (_refinement).  The shared scale keeps
+net(0, y) = net(x, 0) = 0 exact: the two chains then carry bitwise-identical
+values, and the summation rows interleave each +coefficient with its -
+partner in adjacent columns so the CSR product (which accumulates in
+ascending column order) cancels them exactly.
+
+A chain keeps three kinds of channel, n1 = relu(x), n2 = relu(x - 1/2) and
+the carry, and its hat is g = 2 n1 - 4 n2: Yarotsky's hat without the clamp
+2 relu(x - 1).  The clamp guards nothing on a product net's admissible
+domain.  Stage 1 reads |u| with |u| <= 1 there (square_net scales by 1/D,
+mult_net by 1/(2D);
+scalar_product_net and sparse_matvec_net take |a|, |b| <= 1/2 from
+||x|| <= 1 and ||y|| <= z), and g maps [0, 1] into [0, 1], so every stage
+input lies in [0, 1], where relu(x - 1) is +0.0.  The floats agree: for
+x <= 1/2, g = 2x is exact; for x > 1/2, x - 1/2 is exact (Sterbenz) and
+2x - 4(x - 1/2) rounds to at most 1; and a +0.0 term changes no CSR row sum.
+So f_s and its float values are the clamped hat's on the domain; the two
+differ only where some |u| > 1, outside every certificate.
 
 A product net is a bank of T identical terms, one per product.  Each layer
 of a term is written once, as a small block, and the bank's layer tiles it
@@ -157,29 +172,35 @@ def _saw_stage_layers(num_terms: int, s: int, chains: int):
     """Sawtooth stage layers shared by square_net and the product nets.
 
     A term runs `chains` chains (one for square_net; two, u and v, for the
-    product nets) on 4 * chains channels ordered kind-major, kinds n1, n2,
-    n3 and the carry c, e.g. (n1u, n1v, n2u, n2v, n3u, n3v, cu, cv).  Stage
-    1 reads a (+, -) pair per chain and sets every kind to |input| (the
-    carry starts at f_0(u) = u); a later stage sets n1, n2, n3 to
-    g = 2 n1 - 4 n2 + 2 n3 before their ReLU biases and the carry to
-    c - g / 4^(stage-1).
+    product nets) on 3 * chains channels ordered kind-major, kinds n1, n2 and
+    the carry c, e.g. (n1u, n1v, n2u, n2v, cu, cv).  Stage 1 reads a (+, -)
+    pair per chain and sets every kind to |input| (the carry starts at
+    f_0(u) = u); a later stage sets n1 and n2 to g = 2 n1 - 4 n2 before their
+    ReLU biases (0, -1/2) and the carry to c - g / 4^(stage-1).  Every stage
+    input lies in [0, 1], because |u| <= 1 on each product net's admissible
+    domain and g maps [0, 1] into [0, 1], so the hat needs no clamp
+    relu(x - 1): that channel is +0.0 there and f_s is unchanged.
     """
     chain = sp.identity(chains, format="csr")
-    bias = np.tile(np.repeat([0.0, -0.5, -1.0, 0.0], chains), num_terms)
-    first = sp.kron(np.ones((4, 1)), sp.kron(chain, [[1.0, 1.0]]))
+    bias = np.tile(np.repeat([0.0, -0.5, 0.0], chains), num_terms)
+    first = sp.kron(np.ones((3, 1)), sp.kron(chain, [[1.0, 1.0]]))
     layers = [Layer(_bank(num_terms, first), bias)]
     for stage in range(2, s + 1):
         q = 4.0 ** (-(stage - 1))
-        # rows and columns of one chain's (n1, n2, n3, c)
-        block = [[2.0, -4.0, 2.0, 0.0]] * 3 + [[-2.0 * q, 4.0 * q, -2.0 * q, 1.0]]
+        # rows and columns of one chain's (n1, n2, c)
+        block = [[2.0, -4.0, 0.0]] * 2 + [[-2.0 * q, 4.0 * q, 1.0]]
         layers.append(Layer(_bank(num_terms, sp.kron(block, chain)), bias))
     return layers
 
 
 def _readout(s: int) -> np.ndarray:
-    """f_s(|u|) from one chain's last stage (n1, n2, n3, c): c - g / 4^s."""
+    """f_s(|u|) from one chain's last stage (n1, n2, c): c - g / 4^s.
+
+    As in the stages, g = 2 n1 - 4 n2 is the hat on [0, 1], where the
+    stage input lies on the admissible domain.
+    """
     qf = 4.0 ** (-s)
-    return np.array([[-2.0 * qf, 4.0 * qf, -2.0 * qf, 1.0]])
+    return np.array([[-2.0 * qf, 4.0 * qf, 1.0]])
 
 
 def _polarized_sum_net(n_in: int, a_cols, b_cols, coefs, weight: float, groups, s: int) -> ReluNetwork:
@@ -202,8 +223,8 @@ def _polarized_sum_net(n_in: int, a_cols, b_cols, coefs, weight: float, groups, 
     layers = [Layer(_bank(num_terms, pair_abs) @ pick)]
     layers.extend(_saw_stage_layers(num_terms, s, chains=2))
     # a term sums f_s(|u|) - f_s(|v|) over its (u, v) chain pairs: the
-    # columns run n1u, n1v, n2u, n2v, n3u, n3v, cu, cv, so every +/- pair
-    # is adjacent and cancels first
+    # columns run n1u, n1v, n2u, n2v, cu, cv, so every +/- pair is adjacent
+    # and cancels first
     term_sum = weight * sp.kron(_readout(s), MERGE)
     layers.append(Layer(sp.kron(groups, term_sum)))
     return ReluNetwork(layers)

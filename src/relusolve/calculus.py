@@ -118,6 +118,11 @@ def parallelize_shared(nets, col_maps, n_in: int) -> ReluNetwork:
     col_maps[i] maps member i's input coordinates to global input columns;
     members may read overlapping columns.  Outputs are concatenated in member
     order.  A shorter member's last layer is carried to the common depth.
+
+    Each member computes bit for bit what it computes alone, because a map
+    under which some first-layer row's cmap[cols] is not strictly increasing
+    in CSR order is refused with ValueError: the CSR kernel would accumulate
+    that row in another order.  Rows that read one column always pass.
     """
     nets = list(nets)
     if not nets:
@@ -134,10 +139,17 @@ def parallelize_shared(nets, col_maps, n_in: int) -> ReluNetwork:
         maps.append(cmap)
     target = max(net.depth for net in nets)
     padded = [list(net.layers[:-1]) + _carry(net.layers[-1], target - net.depth + 1) for net in nets]
-    # the first level scatters member columns through the maps; make_layer
-    # refuses a map that makes one row read a column twice
+    # the first level scatters member columns through the maps
     heads = [layers[0] for layers in padded]
     coos = [head.weight.tocoo() for head in heads]
+    for i, (coo, cmap) in enumerate(zip(coos, maps)):
+        # a canonical CSR layer lists each row's columns in increasing order
+        reordered = (np.diff(cmap[coo.col]) <= 0) & (np.diff(coo.row) == 0)
+        if reordered.any():
+            raise ValueError(
+                f"column map of member {i} reorders or duplicates the columns of its "
+                f"first-layer row {coo.row[np.argmax(reordered)]}"
+            )
     row_at = np.cumsum([0] + [head.rows for head in heads])
     first = make_layer(
         (row_at[-1], n_in),

@@ -1,13 +1,46 @@
-"""Exact-arithmetic and forward-recurrence oracles for the Chebyshev tests.
+"""Independent oracles for the arithmetic and Chebyshev tests.
 
-Chebyshev polynomials by their three-term recurrence, the U-series by
-forward evaluation (against clenshaw_eval's backward one), and the divided
-coefficients cheb_plan normalizes, in exact rational arithmetic.
+square_net's function with Yarotsky's clamped hat, replayed in numpy in the
+network's float order; Chebyshev polynomials by their three-term
+recurrence, the U-series by forward evaluation (against clenshaw_eval's
+backward one), and the divided coefficients cheb_plan normalizes, in exact
+rational arithmetic.
 """
 
 from fractions import Fraction
 
 import numpy as np
+
+
+def _row(*terms):
+    """A CSR row sum: from +0.0, adding the terms in column order."""
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _relu(v):
+    return np.maximum(v, 0.0)
+
+
+def clamped_square(x, s: int, D: float = 1.0):
+    """square_net(s, D)'s f_s, with the clamped hat 2 relu(y) - 4 relu(y - 1/2) + 2 relu(y - 1).
+
+    Yarotsky's sawtooth on four kinds per chain (n1, n2, n3, c), each row
+    summed as the network's kernel sums it: weighted terms in column order,
+    then the bias.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    p, m = _relu(_row((1.0 / D) * x)), _relu(_row((-1.0 / D) * x))
+    n1, n2, n3, c = (_relu(_row(p, m, bias)) for bias in (0.0, -0.5, -1.0, 0.0))
+    for stage in range(2, s + 1):
+        q = 4.0 ** (-(stage - 1))
+        g = _row(2.0 * n1, -4.0 * n2, 2.0 * n3)
+        c = _relu(_row((-2.0 * q) * n1, (4.0 * q) * n2, (-2.0 * q) * n3, c))
+        n1, n2, n3 = _relu(g), _relu(g + -0.5), _relu(g + -1.0)
+    qf, dd = 4.0 ** (-s), D * D
+    return _row(dd * (-2.0 * qf) * n1, dd * (4.0 * qf) * n2, dd * (-2.0 * qf) * n3, dd * c)
 
 
 def chebyshev_eval(kind: str, j: int, x):

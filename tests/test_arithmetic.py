@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import diagonal_pattern, pattern_of, random_operator, tridiagonal_pattern
+from oracles import clamped_square
 from relusolve.arithmetic import (
     SparseMatrix,
     SparsityPattern,
@@ -24,11 +25,13 @@ def assert_product_net_size(net, terms, s):
     """A bank of `terms` product terms at refinement level s, in closed form.
 
     Depth: the input layer, s saw stages and the summation.  A term stores 8
-    input weights, 20 in saw stage 1 (16 weights, 4 biases), 30 in each later
-    stage (26 weights, 4 biases) and 8 summation weights: 30 s + 6.
+    input weights, 14 in saw stage 1 (12 weights, 2 biases), 16 in each later
+    stage (14 weights, 2 biases) and 6 summation weights: 16 s + 12.  Its
+    neurons are the input layer's 4 and 6 a stage, two chains of (n1, n2, c).
     """
     assert net.depth == s + 2
-    assert stats(net).weights == terms * (30 * s + 6)
+    assert stats(net).weights == terms * (16 * s + 12)
+    assert stats(net).neurons == terms * (6 * s + 4)
 
 
 def test_pattern_shape_helpers():
@@ -97,12 +100,31 @@ def test_square_net_certificate(s, D):
     net = square_net(s, D)
     assert net.depth == s + 2
     bound = D * D * 2.0 ** (-2 * s - 2)
+    # the grid's ends x = +-D put the stage input at |u| = 1, its domain's end
     xs = np.linspace(-D, D, 801)
     out = evaluate(net, xs[None, :])[0]
     # the grid can hit the exact-equality points of the interpolant, so leave
     # room for evaluation rounding
     assert np.max(np.abs(out - xs * xs)) <= bound + 1e-14 * D * D
     assert evaluate(net, [0.0])[0] == 0.0
+
+
+@pytest.mark.parametrize("s", [1, 3, 6])
+@pytest.mark.parametrize("D", [1.0, 3.0])
+def test_square_net_is_the_clamped_sawtooth_bit_for_bit_on_its_domain(s, D):
+    # the stage input is |x| / D in [0, 1], where the clamp relu(y - 1) is
+    # +0.0, so the three-kind hat rounds as the clamped one; the grid holds
+    # the hat's kinks 0, 1/2, 1 in u = x / D and in x, and both neighbours
+    kinks = np.array([0.0, 0.5, 1.0, 0.5 * D, D])
+    kinks = np.concatenate([kinks, np.nextafter(kinks, -np.inf), np.nextafter(kinks, np.inf)])
+    grid = np.concatenate([kinks, -kinks, np.linspace(-D, D, 2001)])
+    grid = grid[np.abs(grid) <= D]
+    out = evaluate(square_net(s, D), grid[None, :])[0]
+    assert out.tobytes() == clamped_square(grid, s, D).tobytes()
+    # past the domain the clamp is live and the two differ
+    outside = np.array([1.5 * D, -1.5 * D])
+    assert not np.array_equal(evaluate(square_net(s, D), outside[None, :])[0],
+                              clamped_square(outside, s, D))
 
 
 def test_square_net_validation():
@@ -116,6 +138,7 @@ def test_square_net_validation():
 def test_mult_net_certificate(eps, D):
     net = mult_net(eps, D)
     assert_product_net_size(net, 1, _refinement(math.log2(1.0 / eps) + 2.0 * math.log2(D)))
+    # the grid's corners (+-D, +-D) put one chain at |u| = |x + y| / (2D) = 1
     g = np.linspace(-D, D, 81)
     X, Y = np.meshgrid(g, g)
     inp = np.stack([X.ravel(), Y.ravel()])
@@ -151,6 +174,19 @@ def test_scalar_product_net_certificate(k, eps, z):
         y *= rng.uniform(0.1, 1.0) * z / np.linalg.norm(y)
         out = evaluate(net, np.concatenate([y, x]))[0]
         assert abs(out - y @ x) <= eps
+
+
+@pytest.mark.parametrize("k,eps,z", [(1, 1e-2, 1.0), (4, 1e-3, 1.0), (5, 1e-2, 3.0)])
+def test_scalar_product_net_at_the_domain_boundary(k, eps, z):
+    # x = e_i and y = +-z e_i put term i's chains at |u| = |y_i / (2z) + x_i / 2| = 1
+    net = scalar_product_net(k, eps, z)
+    eye = np.eye(k)
+    for sign in (1.0, -1.0):
+        y, x = sign * z * eye, eye
+        out = evaluate(net, np.vstack([y, x]))[0]
+        assert np.max(np.abs(out - sign * z)) <= eps
+        assert np.all(evaluate(net, np.vstack([y, 0.0 * x]))[0] == 0.0)
+        assert np.all(evaluate(net, np.vstack([0.0 * y, x]))[0] == 0.0)
 
 
 def test_scalar_product_net_validation():
@@ -189,6 +225,30 @@ def test_sparse_matvec_net_exact_zeros():
     zero_mat = evaluate(net, np.concatenate([np.zeros(pat.eta), r]))
     assert np.all(zero_rhs == 0.0)
     assert np.all(zero_mat == 0.0)
+
+
+@pytest.mark.parametrize("pattern,scale", [(tridiagonal_pattern(5), 1.0),
+                                           (tridiagonal_pattern(4), -2.5),
+                                           (pattern_of([(0, 2), (1,), (0, 1, 2)]), 0.5)])
+def test_sparse_matvec_net_at_the_domain_boundary(pattern, scale):
+    # A = +-e_i e_j^T (||A||_2 = 1) and r = +-z e_j saturate row i's term
+    # (i, j) at |a| = |b| = 1/2, so one of its chains reads |u| = 1
+    eps, z = 1e-3, 2.0
+    net = sparse_matvec_net(pattern, eps, z, scale)
+    n, eta = pattern.n, pattern.eta
+    rows, cols = pattern.row_of(), pattern.indices
+    for a_sign in (1.0, -1.0):
+        for r_sign in (1.0, -1.0):
+            mats = a_sign * np.eye(eta)
+            rhs = r_sign * z * np.eye(n)[:, cols]
+            out = evaluate(net, np.vstack([mats, rhs]))
+            want = np.zeros((n, eta))
+            want[rows, np.arange(eta)] = scale * a_sign * r_sign * z
+            assert np.max(np.linalg.norm(out - want, axis=0)) <= eps
+            # every other row reads A^v = 0 or r = 0 and is exactly zero
+            assert np.all(out[want == 0.0] == 0.0)
+            assert np.all(evaluate(net, np.vstack([mats, 0.0 * rhs])) == 0.0)
+            assert np.all(evaluate(net, np.vstack([0.0 * mats, rhs])) == 0.0)
 
 
 def test_sparse_matvec_net_validation():

@@ -186,6 +186,34 @@ def test_parallelize_pads_a_member_for_its_last_layer_plus_two_k_per_layer():
             assert np.array_equal(evaluate(net, x), want)
 
 
+def test_parallelize_shared_refuses_a_map_that_reorders_a_row():
+    # every row of a dense member reads all its columns, so an unsorted map
+    # would make the CSR kernel accumulate a row in another order
+    rng = np.random.default_rng(29)
+    member = affine_net(rng.normal(size=(3, 4)), rng.normal(size=3))
+    for _ in range(5):
+        cmap = rng.choice(8, size=4, replace=False)
+        while np.all(np.diff(cmap) > 0):
+            cmap = rng.choice(8, size=4, replace=False)
+        with pytest.raises(ValueError, match="reorders or duplicates"):
+            parallelize_shared([member], [cmap], 8)
+
+
+def test_parallelize_shared_maps_one_column_rows_in_any_order_bit_for_bit():
+    # a member whose rows read one column each passes under an unsorted map,
+    # also when it is padded to a deeper member's depth
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        pick = sp.csr_matrix((rng.normal(size=6), rng.integers(0, 4, size=6), np.arange(7)), shape=(6, 4))
+        members = [affine_net(pick, rng.normal(size=6)), identity_net(2, 3)]
+        maps = [rng.choice(8, size=4, replace=False), rng.choice(8, size=2, replace=False)]
+        net = parallelize_shared(members, maps, 8)
+        for _ in range(3):
+            x = rng.normal(size=8) * 3.0
+            want = np.concatenate([evaluate(m, x[cmap]) for m, cmap in zip(members, maps)])
+            assert np.array_equal(evaluate(net, x), want)
+
+
 def test_parallelize_shared_reads_overlapping_columns():
     double = affine_net(np.array([[2.0]]))
     triple = affine_net(np.array([[3.0]]))
@@ -248,7 +276,7 @@ def _small_pipeline():
 def _small_parallel():
     members = [affine_net([[1.0, 0.0, -2.0], [0.5, 3.0, 0.0]], [0.25, 0.0]),
                mult_net(0.1, 2.0), identity_net(1, 4), scale_add_net(2.0, 1)]
-    return parallelize_shared(members, [[0, 1, 2], [2, 0], [1], [0, 3]], 4)
+    return parallelize_shared(members, [[0, 1, 2], [0, 2], [1], [0, 3]], 4)
 
 
 # digests of every stored array of each net: a refactor must reproduce them,
@@ -256,28 +284,28 @@ def _small_parallel():
 FROZEN_NETS = {
     "square_net(1, 1)": (
         lambda: square_net(1, 1.0),
-        "ab238fa0cfa5cef17f9ac5355c916f43c600c8ece83f96a66290f86f734c633c"),
+        "bb5bd00b9d3abf7bb838481c0a1668326c0d2268dc5c4ac01432c81fef55d573"),
     "square_net(1, 3)": (
         lambda: square_net(1, 3.0),
-        "1cd05de9eec6576fa0639755d5b2c054cd46effb4989cb66e78f4a13eb72bdfd"),
+        "5479ed410a0026db82a5f7e615f5f92908096032ea2ce9cb6a8d53c550e8163f"),
     "square_net(5, 1)": (
         lambda: square_net(5, 1.0),
-        "b875f89908c42a4a0c36c705c824506ec3ca99805d78039407fd4158bc06032d"),
+        "bd9559e6e94a618572929c5d470b863cc0144e804bd3826bcad2f900585b4711"),
     "square_net(5, 3)": (
         lambda: square_net(5, 3.0),
-        "1a5bc67a17f010224b0040bf34d43fddb2e78e871d7c26bf8424abe37864bbed"),
+        "03dcce7feb475af433302ef20891125cdf38965694113a998c03ce1a03df82e2"),
     "mult_net(1e-2, 4)": (
         lambda: mult_net(1e-2, 4.0),
-        "cec8010b749548bacbf50a36f7fb7b0f3258a0394ab905093660f88939c9a9c9"),
+        "f5c3ae7cbd8a399af658db96be2dfcc41f8b379e4b36d1d46a30d9c59efe4e64"),
     "scalar_product_net(3, 1e-3, 5)": (
         lambda: scalar_product_net(3, 1e-3, 5.0),
-        "ddbff97073ce4123d17e3bbb212fce496a20db3750635a7e846bbbf6d3d0a40b"),
+        "45f568d6807b374f7388be247727ee94755a650dba4d4b51839c6e4ebc66a932"),
     "sparse_matvec_net(lap1d 5)": (
         lambda: sparse_matvec_net(gen_laplacian(1, 5).pattern, 1e-2, 3.0, -2.5),
-        "2463f693644bbbf48ab2391ebeee45f68edaf0be82928a716fbe5f1a1fce72b2"),
+        "450936a7094d09962b68b3f0dbb84365d559078cc8f53e91ed2fc66dff1747c0"),
     "sparse_matvec_net(lap2d 3)": (
         lambda: sparse_matvec_net(gen_laplacian(2, 3).pattern, 1e-2, 3.0, -2.5),
-        "dbcb1dafefcfa97b3db19b68c88e9c80c7d07d2ec916139971fac8d4ebb32cda"),
+        "f654f1e6167ea6286d123c5b1479d25a4abd915906dbe86e77ada4e1fd52b1eb"),
     "identity_net(3, 4)": (
         lambda: identity_net(3, 4),
         "16be824e5fdcb72e436cc5b401554c5d40f375dcca080f58a021b66cb86d7023"),
@@ -289,10 +317,10 @@ FROZEN_NETS = {
         "e9d18ffcaa690fd6f97ef8c240197394cce1e7893a87de9a8ba7a402d79272a2"),
     "pipeline": (
         _small_pipeline,
-        "f4fcc47b3a6b0f9cd4b4fdbb1207bbc41c3f922bc38ae4a536f4ad62a29ad944"),
+        "cc6e8d80b8e2b37f487f63c7cbd1c6a3dd1af5bf382d7530a9e6381c55221225"),
     "parallelize_shared": (
         _small_parallel,
-        "30db71e81575cd6b8020976c237867dd699b129b85827962337a8cea70d20417"),
+        "5c8cc17edd1e4bcc8b4760c4ded37d1895993e5fc9e446fde9360b06274f8671"),
 }
 
 

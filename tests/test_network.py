@@ -373,10 +373,10 @@ def assert_frozen_file(tmp_path, net, digest):
     "method, build, digest",
     [
         pytest.param("richardson", build_richardson_net,
-                     "43622d821a34fba732d5e3b8ab75b6a192ce93c1ed6b46d3b249a65b8aa647f7",
+                     "5b485a3d54e0842d98f8060dc916bb660f579ffd92c742908da59234490365ee",
                      id="richardson-build_richardson_net"),
         pytest.param("cg", build_cg_net,
-                     "4411729d16177f71e6121c85a853d4a112edb9ae3bf4dd5aeb25da3baa31e589",
+                     "262708526966ef20a0950119b33f655f8cbcee7c14ccf009177ffbbb610edec6",
                      id="cg-build_cg_net"),
     ],
 )
@@ -389,10 +389,10 @@ def test_saved_file_bytes_are_frozen(tmp_path, method, build, digest):
     "method, build, digest",
     [
         pytest.param("richardson", build_richardson_net,
-                     "208d956106d537f6b3450e95981a37d9c577dbc2da9bd19ffa61446aecc7f359",
+                     "6ec94d38fbc34865ee04a87a96e7c4ff932be11e48c87f3a2b7f1454835a38d2",
                      id="richardson-build_richardson_net"),
         pytest.param("cg", build_cg_net,
-                     "de4eed12236adb02a4e05346fc148e2fbe204e53d75accaf549097108bac0b71",
+                     "6e949c7b5ab4f9c88d976bef9f954b687d6fb554b3244b166524d9e416426c6b",
                      id="cg-build_cg_net"),
     ],
 )
