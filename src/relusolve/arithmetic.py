@@ -58,7 +58,9 @@ __all__ = [
     "SparsityPattern",
     "mult_net",
     "scalar_product_net",
+    "sparse_matvec_error",
     "sparse_matvec_net",
+    "sparse_matvec_nets",
     "square_net",
 ]
 
@@ -203,13 +205,16 @@ def _readout(s: int) -> np.ndarray:
     return np.array([[-2.0 * qf, 4.0 * qf, 1.0]])
 
 
-def _polarized_sum_net(n_in: int, a_cols, b_cols, coefs, weight: float, groups, s: int) -> ReluNetwork:
-    """Bank of paired squaring chains with an exact summation output layer.
+def _polarized_sum_nets(n_in: int, a_cols, b_cols, coefs, weight: float, groups, levels) -> dict:
+    """Banks of paired squaring chains with an exact summation output layer.
 
     Term p contributes weight * (f_s(|a+b|) - f_s(|a-b|)) ~ weight * 4ab to
     each output row whose groups entry in column p is 1, where
-    a = coefs[0] * x[a_cols[p]] and b = coefs[1] * x[b_cols[p]].  The
-    layers are the input map, s saw stages and the summation: depth s + 2.
+    a = coefs[0] * x[a_cols[p]] and b = coefs[1] * x[b_cols[p]].  The net at
+    level s in levels is the input map, s saw stages and the summation:
+    depth s + 2.  Stage t does not depend on the level, so the nets share
+    one stack, the deepest net's first s + 1 layers, and each builds only
+    its own summation.
     """
     num_terms = len(a_cols)
     pick = sp.csr_matrix(
@@ -220,14 +225,15 @@ def _polarized_sum_net(n_in: int, a_cols, b_cols, coefs, weight: float, groups, 
     # per term (a, b) -> (u+, u-, v+, v-) with u = a+b, v = a-b
     ac, bc = coefs
     pair_abs = [[ac, bc], [-ac, -bc], [ac, -bc], [-ac, bc]]
-    layers = [Layer(_bank(num_terms, pair_abs) @ pick)]
-    layers.extend(_saw_stage_layers(num_terms, s, chains=2))
+    stack = [Layer(_bank(num_terms, pair_abs) @ pick)]
+    stack.extend(_saw_stage_layers(num_terms, max(levels), chains=2))
     # a term sums f_s(|u|) - f_s(|v|) over its (u, v) chain pairs: the
     # columns run n1u, n1v, n2u, n2v, cu, cv, so every +/- pair is adjacent
     # and cancels first
-    term_sum = weight * sp.kron(_readout(s), MERGE)
-    layers.append(Layer(sp.kron(groups, term_sum)))
-    return ReluNetwork(layers)
+    return {
+        s: ReluNetwork(stack[: s + 1] + [Layer(sp.kron(groups, weight * sp.kron(_readout(s), MERGE)))])
+        for s in levels
+    }
 
 
 def square_net(s: int, D: float = 1.0) -> ReluNetwork:
@@ -257,7 +263,7 @@ def mult_net(eps: float, D: float = 1.0) -> ReluNetwork:
     D = float(D)
     s = _refinement(math.log2(1.0 / eps) + 2.0 * math.log2(D))
     half = 1.0 / (2.0 * D)
-    return _polarized_sum_net(2, [0], [1], (half, half), D * D, [[1.0]], s)
+    return _polarized_sum_nets(2, [0], [1], (half, half), D * D, [[1.0]], [s])[s]
 
 
 def scalar_product_net(k: int, eps: float, z: float = 1.0) -> ReluNetwork:
@@ -275,19 +281,53 @@ def scalar_product_net(k: int, eps: float, z: float = 1.0) -> ReluNetwork:
     z = float(z)
     s = _refinement(math.log2(k * z / eps))
     terms = np.arange(k)
-    return _polarized_sum_net(2 * k, terms, k + terms, (1.0 / (2.0 * z), 0.5), z, np.ones((1, k)), s)
+    nets = _polarized_sum_nets(2 * k, terms, k + terms, (1.0 / (2.0 * z), 0.5), z, np.ones((1, k)), [s])
+    return nets[s]
+
+
+def sparse_matvec_error(
+    pattern: SparsityPattern, s: int, z: float = 1.0, scale: float = 1.0
+) -> float:
+    """The certified error sqrt(n) chi_max |scale| z 2^(-2s-2) of a level-s matvec net.
+
+    A term's weight is scale * z, so it errs by at most |scale| z 2^(-2s-2);
+    row i sums chi_i <= chi_max terms, and the n rows add in the 2-norm.
+    """
+    return math.sqrt(pattern.n) * pattern.chi_max * abs(scale) * z * 4.0 ** (-s - 1)
+
+
+def sparse_matvec_nets(
+    pattern: SparsityPattern, levels, z: float = 1.0, scale: float = 1.0
+) -> dict:
+    """The matvec net (A^v, r) -> scale * A r at each refinement level in levels.
+
+    Admissible inputs: ||A||_2 <= 1 and ||r||_2 <= z; the level-s net errs by
+    at most sparse_matvec_error(pattern, s, z, scale).  Term p is position
+    p = (i, j): it reads r_j and A^v_p straight from the net's input and
+    sums into row i; rows share one level (the chi_max worst case) so the
+    bank needs no padding.  The nets share one stack of saw stages.
+    """
+    if z < 1:
+        raise ValueError("rhs bound must be at least 1")
+    if scale == 0:
+        raise ValueError("scale must be nonzero")
+    n, eta = pattern.n, pattern.eta
+    positions = np.arange(eta)
+    groups = sp.csr_matrix((np.ones(eta), positions, pattern.indptr), shape=(n, eta))
+    return _polarized_sum_nets(
+        eta + n, eta + pattern.indices, positions, (1.0 / (2.0 * z), 0.5), scale * z, groups, levels
+    )
 
 
 def sparse_matvec_net(
     pattern: SparsityPattern, eps: float, z: float = 1.0, scale: float = 1.0
 ) -> ReluNetwork:
-    """Approximate (A^v, r) -> scale * A r for A in the pattern class.
+    """Approximate (A^v, r) -> scale * A r within eps for A in the pattern class.
 
-    Admissible inputs: ||A||_2 <= 1 and ||r||_2 <= z.  Each row i is a
-    scalar product of (r | chi_i) with its row-i values at per-row accuracy
-    eps / (|scale| sqrt(n)), whose terms read their inputs straight from the
-    net's input; rows share one refinement level (the chi_max worst case) so
-    the bank needs no padding.
+    Admissible inputs: ||A||_2 <= 1 and ||r||_2 <= z.  Each row is a scalar
+    product of (r | chi_i) with its row-i values at per-row accuracy
+    eps / (|scale| sqrt(n)); the net is sparse_matvec_nets' at the level
+    that gives.
     """
     if eps <= 0:
         raise ValueError("accuracy must be positive")
@@ -295,12 +335,6 @@ def sparse_matvec_net(
         raise ValueError("rhs bound must be at least 1")
     if scale == 0:
         raise ValueError("scale must be nonzero")
-    n, eta = pattern.n, pattern.eta
-    eps_row = eps / (abs(scale) * math.sqrt(n))
+    eps_row = eps / (abs(scale) * math.sqrt(pattern.n))
     s = _refinement(math.log2(pattern.chi_max * z / eps_row))
-    # term p is position p = (i, j): it reads r_j and A^v_p and sums into row i
-    positions = np.arange(eta)
-    groups = sp.csr_matrix((np.ones(eta), positions, pattern.indptr), shape=(n, eta))
-    return _polarized_sum_net(
-        eta + n, eta + pattern.indices, positions, (1.0 / (2.0 * z), 0.5), scale * z, groups, s
-    )
+    return sparse_matvec_nets(pattern, [s], z, scale)[s]

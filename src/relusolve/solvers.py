@@ -9,7 +9,7 @@ the sum of the n-blocks at the offsets x_at.  Each method's branch sets only
 those numbers, m, delta, z, the steps and its metadata extras: Richardson's
 B^v = I - omega A, r_scale = omega and x the running sum plus the last
 iterate; cg's B^v = sigma0 I - (slope/Lam) A, r_scale = 1/Lam and
-x = final_scale b_0.
+x = final_scale Z_0 (b_0 / Z_0).
 
 Both steps also share one body: identity channels on the matrix
 values, a matvec, and an exact affine carry beside them, each carried to
@@ -18,15 +18,16 @@ body, mapping (A, r, c) to (A, Ar, r + c) with the carry [I, I]; the
 cg-type step runs the Clenshaw recurrence
 b_k = alpha_k r + 2 B b_next - b_nextnext against the Chebyshev
 coefficients of the optimal solver polynomial, with identity carries and
-the combination C(alpha_k) fused into the body's last layer.  The cg branch
-builds the body once, so the m steps share every layer but the fused one.
-Both networks take the concatenation (A^v, r) of matrix values and
-right-hand side as input and approximate A^{-1} r to the configured
-accuracy.
+the combination C fused into the body's last layer.  The cg branch builds
+the deepest body once: a step at level s runs its first layer and saw
+levels 1..s, then its own fused end, so the m steps share every layer but
+the fused one.  Both networks take the concatenation (A^v, r) of matrix
+values and right-hand side as input and approximate A^{-1} r to the
+configured accuracy.
 
-Each step's matvec is built at accuracy delta for inputs of norm at most z;
-a larger delta or a smaller z means fewer sawtooth stages per matvec.  Both
-come from how a matvec error reaches the output:
+Each matvec is built at an accuracy for inputs of norm at most a bound; a
+looser accuracy or a smaller bound means fewer sawtooth stages.  Both come
+from how a matvec error reaches the output:
 
 Lemma (Richardson).  The m steps map (v, c) to (B v, v + c) from
 v_0 = omega r, c_0 = 0, and the output reads x = c + v = sum_{k<=m} v_k.
@@ -38,30 +39,45 @@ P_i(B) = sum_{l<=i} B^l, and ||P_i(B)|| <= min(i + 1, 1/(1 - rho)) =
 min(i + 1, (1 + kappa)/2).  So
 delta = (eps - rho^(m+1) c_sc) / sum_{i=1..m} min(i, (1 + kappa)/2) meets
 eps.  The matvec input v_k is off by at most k delta, so z = 1 + m delta.
+Every matvec shares this delta and z, so the m steps are one network.
 
 Lemma (cg).  With normalized coefficients c_j, b_k = sum_{j>=k} c_j
 U_{j-k}(B) rhat and x = final_scale b_0 = p(A) r, whose residual
 polynomial 1 - t p(t) = T_m(sigma(t)) / T_m(sigma0) is at most
 1 / T_m(sigma0) on the bracket; ||A^{-1} r|| <= c_sc, so the truncation is
-at most c_sc / T_m(sigma0).  spec(B) lies in [-1, 1], so ||U_i(B)|| <= i + 1;
-the error of the matvec that makes b_k reaches b_0 as U_k(B) e, so x is off
-by at most |final_scale| m (m + 1)/2 delta, and
-delta = (eps - c_sc / T_m(sigma0)) / (|final_scale| m (m + 1)/2) meets eps.
-The matvecs read b_1 .. b_m (b_m = 0).  ||rhat|| = ||r|| / Lam <=
+at most c_sc / T_m(sigma0), and the matvecs may spend
+budget = eps - c_sc / T_m(sigma0).  spec(B) lies in [-1, 1], so
+||U_i(B)|| <= i + 1, and the error e_j of the matvec that makes b_j reaches
+b_k as U_{j-k}(B) e_j.  Per step, then: ||rhat|| = ||r|| / Lam <=
 c_sc / kappa, so exactly ||b_k|| <= (c_sc/kappa) S_k with
-S_k = sum_{j>=k} c_j (j - k + 1), and each computed b_k is off by at most
-m (m + 1)/2 delta; z = max(1, (c_sc/kappa) max_{k>=1} S_k + m (m + 1)/2 delta).
+S_k = sum_{j>=k} c_j (j - k + 1), and the computed b_k is off by at most
+sum_{j>=k} (j - k + 1) ||e_j|| <= sum_j (j + 1) ||e_j||.  If
+|final_scale| sum_j (j + 1) ||e_j|| <= budget, x meets eps, and every
+computed b_k has norm at most
+Z_k = (c_sc/kappa) S_k + budget / |final_scale|, whatever the schedule.
+The state holds b_k / Z_k, so the matvec that makes b_k reads
+b_{k+1} / Z_{k+1} of norm at most 1 (b_m = b_{m+1} = 0, S_m = S_{m+1} = 0),
+and the combination writes b_k / Z_k = (c_k / Z_k) rhat +
+(Z_{k+1} / Z_k) 2 B (b_{k+1} / Z_{k+1}) - (Z_{k+2} / Z_k) (b_{k+2} / Z_{k+2}).
+At level s_k the matvec errs by at most E(s_k) = E(1) 4^(1 - s_k) in
+b_{k+1} / Z_{k+1}, so ||e_k|| <= Z_{k+1} E(s_k), and the levels must meet
+sum_k |final_scale| (k + 1) Z_{k+1} E(s_k) <= budget.  _greedy_levels picks
+them: each term at most budget / m to start, then stages taken off while
+the budget allows, the smallest addition first.  The metadata records the
+levels, and delta = E(max s_k) and z = 1, the deepest body's.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .arithmetic import SparsityPattern, sparse_matvec_net
+from .arithmetic import SparsityPattern, sparse_matvec_error, sparse_matvec_net, sparse_matvec_nets
 from .calculus import affine_net, parallelize_shared, pipeline
 from .network import Layer, ReluNetwork, make_layer, stats
 
@@ -214,16 +230,15 @@ def cheb_plan(m: int, spec: SpectralClass) -> ChebyshevPlan:
     )
 
 
-def _step_body(pattern: SparsityPattern, delta: float, z: float, scale: float, carry, carry_cols):
-    """Parallel step body (B^v, scale * B v, carry u) on the state (B^v, v, ...).
+def _step_body(pattern: SparsityPattern, mv: ReluNetwork, carry, carry_cols):
+    """Parallel step body (B^v, mv(B^v, v), carry u) on the state (B^v, v, ...).
 
-    B^v rides exact identity channels and scale * B v is a matvec at accuracy
-    delta for ||B||_2 <= 1, ||v||_2 <= z.  The sparse matrix carry applies
-    exactly to u, the state columns carry_cols; parallelize_shared carries
-    it and the identity down to the matvec's depth.
+    B^v rides exact identity channels beside the matvec net mv, which reads
+    B^v and v.  The sparse matrix carry applies exactly to u, the state
+    columns carry_cols; parallelize_shared carries it and the identity down
+    to the matvec's depth.
     """
     n, eta = pattern.n, pattern.eta
-    mv = sparse_matvec_net(pattern, delta, z, scale=scale)
     # build the identity member before the carry: with the carry first, the
     # layers are the same but the peak RSS of saving and loading a 2-d
     # Laplacian richardson net rose by about 3% in most runs
@@ -239,39 +254,61 @@ def richardson_step_net(pattern: SparsityPattern, delta: float, z: float) -> Rel
     A r by a matvec at accuracy delta for ||A||_2 <= 1, ||r||_2 <= z.
     """
     n, eta = pattern.n, pattern.eta
-    return _step_body(pattern, delta, z, 1.0, sp.hstack([sp.identity(n)] * 2), range(eta, eta + 2 * n))
+    carry = sp.hstack([sp.identity(n)] * 2)
+    return _step_body(pattern, sparse_matvec_net(pattern, delta, z), carry, range(eta, eta + 2 * n))
 
 
-def _clenshaw_body(pattern: SparsityPattern, delta: float, z: float) -> ReluNetwork:
-    """Step body with output blocks (B^v, w = 2 B b_next, rhat, b_nextnext, b_next)."""
+def _clenshaw_body(pattern: SparsityPattern, mv: ReluNetwork) -> ReluNetwork:
+    """Step body with output blocks (B^v, w = mv(B^v, b_next), rhat, b_nextnext, b_next)."""
     n, eta = pattern.n, pattern.eta
     rhat, b_nn, b_next = (np.arange(eta + k * n, eta + (k + 1) * n) for k in (2, 1, 0))
-    carry_cols = np.concatenate([rhat, b_nn, b_next])
-    return _step_body(pattern, delta, z, 2.0, sp.identity(3 * n), carry_cols)
+    return _step_body(pattern, mv, sp.identity(3 * n), np.concatenate([rhat, b_nn, b_next]))
 
 
-def _fuse_combination(
-    body: ReluNetwork, pattern: SparsityPattern, alpha_bar: float
+def _clenshaw_stack(pattern: SparsityPattern, levels):
+    """The deepest Clenshaw body and the end layer ends[s] of each level in levels.
+
+    A step at level s runs the body's first s + 1 layers, then ends[s] with
+    its combination fused in.  parallelize_shared ends the body block
+    diagonally in member order: the eta identity pairs merge from columns
+    [0, 2 eta), the matvec's summation fills rows [eta, eta + n), and the
+    carry pairs merge in the rest; ends[s] holds the level-s summation in
+    that block.  The matvec nets die here: the body holds copies of their
+    layers, and holding them too raised the peak memory of a cg n=32 build
+    by 0.4 MB.
+    """
+    n, eta = pattern.n, pattern.eta
+    mvs = sparse_matvec_nets(pattern, levels, 1.0, 2.0)
+    body = _clenshaw_body(pattern, mvs[max(levels)])
+    end = body.layers[-1]
+    ids, carry = end.weight[:eta, : 2 * eta], end.weight[eta + n :, end.cols - 6 * n :]
+    ends = {
+        s: Layer(sp.block_diag([ids, mv.layers[-1].weight, carry]), end.bias) for s, mv in mvs.items()
+    }
+    return body, ends
+
+
+def _fused_step(
+    stack, end: Layer, pattern: SparsityPattern, w_scale: float, alpha: float, nn_scale: float
 ) -> ReluNetwork:
-    """Replace the body's last layer W, b with C W, C b for C = C(alpha_bar).
+    """The step stack + [C end]: the combination C fused into the body's end.
 
     C maps the blocks [B^v, w, rhat, b_nn, b_next] to the next state
-    (B^v, w + alpha_bar rhat - b_nn, b_next, rhat).  The fusion is exact: each
-    row of C reads blocks whose last-layer rows occupy disjoint columns, so
-    every product entry is a single float multiplication.  All other layers
-    are shared with body, not copied.
+    (B^v, w_scale w + alpha rhat - nn_scale b_nn, b_next, rhat).  Each row of
+    C reads blocks whose end rows occupy disjoint columns, so every product
+    entry is a single float multiplication, and the +/- partners of the
+    matvec's summation still cancel exactly.  The stack's layers are shared,
+    not copied.
     """
     n, eta = pattern.n, pattern.eta
     p, i = np.arange(eta), np.arange(n)
     rows = np.concatenate([p, eta + i, eta + i, eta + i, eta + n + i, eta + 2 * n + i])
     cols = np.concatenate([p, eta + i, eta + n + i, eta + 2 * n + i, eta + 3 * n + i, eta + n + i])
     vals = np.concatenate(
-        [np.ones(eta + n), np.full(n, alpha_bar), np.full(n, -1.0), np.ones(2 * n)]
+        [np.ones(eta), np.full(n, w_scale), np.full(n, alpha), np.full(n, -nn_scale), np.ones(2 * n)]
     )
     C = make_layer((eta + 3 * n, eta + 4 * n), rows, cols, vals).weight
-    last = body.layers[-1]
-    fused = Layer(C @ last.weight, C @ last.bias)
-    return ReluNetwork(list(body.layers[:-1]) + [fused])
+    return ReluNetwork(list(stack) + [Layer(C @ end.weight, C @ end.bias)])
 
 
 def clenshaw_step_net(
@@ -280,13 +317,55 @@ def clenshaw_step_net(
     """One Clenshaw update on the state (B^v, b_next, b_nextnext, rhat).
 
     Output is (B^v, alpha_bar*rhat + 2 B b_next - b_nextnext, b_next, rhat)
-    with error <= delta confined to the second block: the doubled matvec is
-    the only approximate piece, everything else rides identity channels and
-    the exactly fused output combination.
+    with error <= delta confined to the second block, for ||b_next|| <= z: the
+    doubled matvec is the only approximate piece, everything else rides
+    identity channels and the exactly fused output combination.
     """
     if not 0.0 <= alpha_bar <= 1.0:
         raise ValueError("normalized coefficient must lie in [0, 1]")
-    return _fuse_combination(_clenshaw_body(pattern, delta, z), pattern, alpha_bar)
+    body = _clenshaw_body(pattern, sparse_matvec_net(pattern, delta, z, scale=2.0))
+    return _fused_step(body.layers[:-1], body.layers[-1], pattern, 1.0, alpha_bar, 1.0)
+
+
+def _greedy_levels(unit: np.ndarray, budget: float) -> np.ndarray:
+    """Levels s_k >= 1 with sum_k unit_k 4^(1 - s_k) <= budget, few in total.
+
+    Start where every term is at most budget / m, then take stages off while
+    the budget allows, always the one that adds the least: at level s a
+    stage taken off adds 3 unit_k 4^(1 - s), and the next one from the same
+    matvec four times that, so no smaller addition is passed over.
+    """
+    m = len(unit)
+    s = 1 + np.maximum(0.0, np.ceil(np.log(m * unit / budget) / math.log(4.0))).astype(np.int64)
+    spare = budget - float((unit * 4.0 ** (1 - s)).sum())
+    heap = [(3.0 * unit[k] * 4.0 ** (1 - s[k]), k) for k in range(m) if s[k] > 1]
+    heapq.heapify(heap)
+    while heap and heap[0][0] <= spare:
+        added, k = heapq.heappop(heap)
+        spare -= added
+        s[k] -= 1
+        if s[k] > 1:
+            heapq.heappush(heap, (4.0 * added, k))
+    return s
+
+
+def _clenshaw_schedule(
+    pattern: SparsityPattern, plan: ChebyshevPlan, eps: float, c_sc: float, kappa: float
+):
+    """The cg lemma's state bounds Z_0 .. Z_{m+1} and each matvec's saw level.
+
+    levels[k] is the level of the matvec that makes b_k; the module
+    docstring proves both.
+    """
+    m, scale = plan.degree, abs(plan.final_scale)
+    budget = eps - c_sc * plan.truncation
+    # two cumulative sums over the reversed coefficients give every
+    # S_k = sum_{j>=k} coeffs[j] (j - k + 1) in O(m), as m reaches the
+    # thousands at large kappa; S_m = S_{m+1} = 0
+    sums = np.cumsum(np.cumsum(plan.coeffs[::-1]))[::-1]
+    Z = c_sc / kappa * np.concatenate([sums, [0.0, 0.0]]) + budget / scale
+    unit = scale * np.arange(1, m + 1) * Z[1 : m + 1] * sparse_matvec_error(pattern, 1, 1.0, 2.0)
+    return Z, _greedy_levels(unit, budget).tolist()
 
 
 def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: SolverConfig):
@@ -335,22 +414,26 @@ def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: Solver
     else:
         m = m_cg(eps, c_sc, rho_alpha(spec, 0.5))
         plan = cheb_plan(m, spec)
-        budget = m * (m + 1) / 2.0  # the cg lemma's weight on delta
-        delta = (eps - c_sc * plan.truncation) / (abs(plan.final_scale) * budget)
-        # the cg lemma above: two cumulative sums over the reversed coefficients
-        # give every S_k = sum_{j>=k} coeffs[j] (j - k + 1) in O(m), as m reaches
-        # the thousands at large kappa; the last one is S_0, which no matvec reads
-        sums = np.cumsum(np.cumsum(plan.coeffs[::-1]))
-        z = max(1.0, c_sc / kappa * float(sums[:-1].max(initial=0.0)) + budget * delta)
-        # one body for all m steps; only the fused output layer depends on alpha_bar
-        body = _clenshaw_body(pattern, delta, z)
-        steps = [_fuse_combination(body, pattern, plan.coeffs[k]) for k in range(m - 1, -1, -1)]
-        # state (B^v, b_next, b_nextnext, rhat): B^v = sigma0 I - (slope/Lam) A,
-        # rhat = r / Lam, Clenshaw carries start at zero; x = final_scale * b_0
+        Z, levels = _clenshaw_schedule(pattern, plan, eps, c_sc, kappa)
+        body, ends = _clenshaw_stack(pattern, sorted(set(levels)))
+        steps = [
+            _fused_step(
+                body.layers[: levels[k] + 1], ends[levels[k]], pattern,
+                Z[k + 1] / Z[k], plan.coeffs[k] / Z[k], Z[k + 2] / Z[k],
+            )
+            for k in range(m - 1, -1, -1)
+        ]
+        # the deepest body at its normalized input bound
+        delta, z = sparse_matvec_error(pattern, max(levels), 1.0, 2.0), 1.0
+        # state (B^v, b_next / Z_{k+1}, b_nextnext / Z_{k+2}, rhat):
+        # B^v = sigma0 I - (slope/Lam) A, rhat = r / Lam, Clenshaw carries
+        # start at zero; x = final_scale * Z_0 * (b_0 / Z_0)
         slope = 2.0 * kappa / (kappa - 1.0)
         b_diag, b_scale, r_scale, r_at = plan.sigma0, -slope / spec.Lam, 1.0 / spec.Lam, eta + 2 * n
-        x_scale, x_at = plan.final_scale, (eta,)
-        extra = {"sigma0": plan.sigma0, "final_scale": plan.final_scale}
+        x_scale, x_at = plan.final_scale * float(Z[0]), (eta,)
+        # each step's level in the order the steps run, as [level, count] runs
+        runs = [[s, len(list(group))] for s, group in itertools.groupby(levels[::-1])]
+        extra = {"sigma0": plan.sigma0, "final_scale": plan.final_scale, "levels": runs}
     width = steps[0].input_dim
     p = np.arange(eta)
     bias = np.zeros(width)

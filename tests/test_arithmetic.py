@@ -15,10 +15,12 @@ from relusolve.arithmetic import (
     _refinement,
     mult_net,
     scalar_product_net,
+    sparse_matvec_error,
     sparse_matvec_net,
+    sparse_matvec_nets,
     square_net,
 )
-from relusolve.network import evaluate, stats
+from relusolve.network import evaluate, network_to_dict, stats
 
 
 def assert_product_net_size(net, terms, s):
@@ -212,6 +214,30 @@ def test_sparse_matvec_net_certificate(scale):
         r *= rng.uniform(0.1, 1.0) * z / np.linalg.norm(r)
         out = evaluate(net, np.concatenate([A.values, r]))
         assert np.linalg.norm(out - scale * (A.to_dense() @ r)) <= eps
+
+
+@pytest.mark.parametrize("scale", [2.0, -0.5])
+def test_sparse_matvec_nets_share_one_stack_and_meet_their_certificates(scale):
+    # the level-s net is the deepest net's first s + 1 layers, the same
+    # objects, and its own summation; it errs by at most sparse_matvec_error
+    # and is the sparse_matvec_net that twice that error asks for, which lies
+    # strictly between the level's certificate and the next shallower one's
+    pat, z = tridiagonal_pattern(5), 2.0
+    nets = sparse_matvec_nets(pat, [1, 3, 6], z, scale)
+    rng = np.random.default_rng(29)
+    for s, net in nets.items():
+        assert_product_net_size(net, pat.eta, s)
+        assert all(a is b for a, b in zip(net.layers[: s + 1], nets[6].layers))
+        err = sparse_matvec_error(pat, s, z, scale)
+        alone = network_to_dict(sparse_matvec_net(pat, 2.0 * err, z, scale))
+        for key, value in network_to_dict(net).items():
+            assert np.array_equal(value, alone[key]), key
+        for _ in range(10):
+            A = random_operator(pat, rng)
+            r = rng.normal(size=pat.n)
+            r *= rng.uniform(0.1, 1.0) * z / np.linalg.norm(r)
+            out = evaluate(net, np.concatenate([A.values, r]))
+            assert np.linalg.norm(out - scale * (A.to_dense() @ r)) <= err
 
 
 def test_sparse_matvec_net_exact_zeros():

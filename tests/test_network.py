@@ -376,7 +376,7 @@ def assert_frozen_file(tmp_path, net, digest):
                      "5b485a3d54e0842d98f8060dc916bb660f579ffd92c742908da59234490365ee",
                      id="richardson-build_richardson_net"),
         pytest.param("cg", build_cg_net,
-                     "262708526966ef20a0950119b33f655f8cbcee7c14ccf009177ffbbb610edec6",
+                     "f1b0c7a1152f2737018b8dfa13d0f6ef020e48e965fd4c4a0a17776cd1bf1287",
                      id="cg-build_cg_net"),
     ],
 )
@@ -392,7 +392,7 @@ def test_saved_file_bytes_are_frozen(tmp_path, method, build, digest):
                      "6ec94d38fbc34865ee04a87a96e7c4ff932be11e48c87f3a2b7f1454835a38d2",
                      id="richardson-build_richardson_net"),
         pytest.param("cg", build_cg_net,
-                     "6e949c7b5ab4f9c88d976bef9f954b687d6fb554b3244b166524d9e416426c6b",
+                     "b6b210cd4365b1562c4bf3c366daa2c8d149a287da7ab222458b42bdb4367a11",
                      id="cg-build_cg_net"),
     ],
 )
@@ -433,13 +433,13 @@ def _output_digest(net, fem) -> str:
                      "aecb3b4c19ef0058b01be79d7e7c9e90e7f7dca3582c1c6031b8ebd7e02f4883",
                      id="richardson-build_richardson_net-1-4"),
         pytest.param("cg", build_cg_net, 1, 4,
-                     "fe7e6a187c93762c8244ad96176208f174d2e5ab219937b68d500cb8e2e72b0d",
+                     "c9cfd75225f164ecb6ae33d8234524815fe698f0d80c85534a1bdd9b8e48d560",
                      id="cg-build_cg_net-1-4"),
         pytest.param("richardson", build_richardson_net, 2, 3,
                      "94790b9cf509f6e3522953bf966d504e6169d5dad287271f45721d4bbe3a4314",
                      id="richardson-build_richardson_net-2-3"),
         pytest.param("cg", build_cg_net, 2, 3,
-                     "2088ea967e24e05678012dd7fbd7b651ddad43e122d0d2e9c763ab0fae477192",
+                     "ce77c1b558c52144d94caf2fd8548e2356db2a9b894d5fe14b914b94f2ea0de7",
                      id="cg-build_cg_net-2-3"),
     ],
 )

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import pattern_of, random_operator, tridiagonal_pattern
 from oracles import divided_cheb_coeffs
-from relusolve.arithmetic import SparseMatrix, sparse_matvec_net
-from relusolve.network import evaluate, stats
+from relusolve.arithmetic import SparseMatrix, sparse_matvec_error, sparse_matvec_net, sparse_matvec_nets
+from relusolve.network import ReluNetwork, evaluate, stats
 from relusolve.problems import gen_laplacian, random_rhs, random_spd
 from relusolve.reference import solve_exact
 from relusolve.solvers import (
@@ -19,6 +19,8 @@ from relusolve.solvers import (
     SolverConfig,
     SpectralClass,
     _clenshaw_body,
+    _clenshaw_schedule,
+    _clenshaw_stack,
     audit_complexity,
     build_cg_net,
     build_richardson_net,
@@ -234,18 +236,60 @@ def test_step_weights_are_closed_form_in_the_matvec_depth(dim, N):
         )
         mv = sparse_matvec_net(pattern, delta, 1.0, scale=2.0)
         d = mv.depth
-        assert stats(_clenshaw_body(pattern, delta, 1.0)).weights == (
+        assert stats(_clenshaw_body(pattern, mv)).weights == (
             stats(mv).weights + 2 * d * (eta + 3 * n)
         )
 
 
+def _step_levels(meta):
+    """Each step's saw level in the order the steps run, from the [level, count] runs."""
+    return [s for s, count in meta["levels"] for _ in range(count)]
+
+
+def _step_starts(levels):
+    """The position of each step's first layer: the rescale layer, then s + 2 layers a step."""
+    return (1 + np.cumsum([0] + [s + 2 for s in levels])).tolist()
+
+
 def test_cg_build_shares_one_step_body():
-    # the m steps share every layer of the step body except the fused output one
-    fem = gen_laplacian(1, 16)
-    net = build_cg_net(fem.pattern, fem.spectral, SolverConfig("cg", 0.1))
+    # every step runs one stack, the deepest body's first layer and saw
+    # levels 1..s, as the same objects; only its fused last layer is its own
+    fem = gen_laplacian(1, 32)
+    net = build_cg_net(fem.pattern, fem.spectral, SolverConfig("cg", 0.02))
     meta = net.metadata
-    step = clenshaw_step_net(fem.pattern, 1.0, meta["delta"], meta["z"])
-    assert len({id(layer) for layer in net.layers}) <= step.depth + meta["m"] + 2
+    m, levels = meta["m"], _step_levels(meta)
+    s_max = max(levels)
+    assert len(levels) == m and len(set(levels)) > 1
+    starts = _step_starts(levels)
+    assert starts[-1] + 1 == net.depth
+    deepest = starts[levels.index(s_max)]
+    for at, s in zip(starts, levels):
+        assert all(net.layers[at + t] is net.layers[deepest + t] for t in range(s + 1))
+    assert len({id(layer) for layer in net.layers}) <= s_max + 2 + m + 2
+    # the recorded delta and z build the deepest body
+    assert clenshaw_step_net(fem.pattern, 1.0, meta["delta"], meta["z"]).depth == s_max + 2
+
+
+def _same_layer(a, b) -> bool:
+    return a.weight.shape == b.weight.shape and all(
+        np.array_equal(x, y)
+        for x, y in zip((a.weight.data, a.weight.indices, a.weight.indptr, a.bias),
+                        (b.weight.data, b.weight.indices, b.weight.indptr, b.bias))
+    )
+
+
+@pytest.mark.parametrize("dim, N", [(1, 8), (2, 4)])
+def test_a_shallower_body_is_the_deepest_stack_and_its_own_end(dim, N):
+    # a Clenshaw body built alone at level s equals, bit for bit, the deepest
+    # body's first s + 1 layers followed by the stack's end for level s
+    pattern = gen_laplacian(dim, N).pattern
+    deepest, ends = _clenshaw_stack(pattern, [1, 4, 7])
+    assert deepest.depth == 7 + 2 and sorted(ends) == [1, 4, 7]
+    for s, end in ends.items():
+        alone = _clenshaw_body(pattern, sparse_matvec_nets(pattern, [s], 1.0, 2.0)[s])
+        layers = list(deepest.layers[: s + 1]) + [end]
+        assert len(layers) == alone.depth == s + 2
+        assert all(_same_layer(got, want) for got, want in zip(layers, alone.layers))
 
 
 def _bound_cases():
@@ -265,14 +309,17 @@ BOUND_CASES = {label: case for label, *case in _bound_cases()}
 @pytest.mark.parametrize("label", sorted(BOUND_CASES))
 def test_matvec_input_stays_within_z_at_maximal_scale(label, method):
     # c_sc at its admissible maximum and +-extreme eigenvectors of A as rhs;
-    # the state is stepped with the builder's own delta and z, and before
-    # each step the matvec input (v, or b_next) must be within z
+    # Richardson's state is stepped with the builder's own delta and z, and
+    # before each step the matvec input v must be within z; cg's built net
+    # is stepped along its recorded levels, and each matvec input
+    # b_next / Z_{k+1} must be within 1
     pattern, A, spec = BOUND_CASES[label]
     n, eta = pattern.n, pattern.eta
     kappa, eps = spec.kappa, 0.1
     c_sc = (1.0 + kappa) / 2.0 if method == "richardson" else kappa
     build = build_richardson_net if method == "richardson" else build_cg_net
-    meta = build(pattern, spec, SolverConfig(method, eps, c_sc)).metadata
+    net = build(pattern, spec, SolverConfig(method, eps, c_sc))
+    meta = net.metadata
     m, delta, z = meta["m"], meta["delta"], meta["z"]
     _, V = np.linalg.eigh(A.to_dense())
     rhs = c_sc * spec.lam * np.column_stack([V[:, 0], -V[:, 0], V[:, -1], -V[:, -1]])
@@ -304,18 +351,49 @@ def test_matvec_input_stays_within_z_at_maximal_scale(label, method):
         assert float(np.linalg.norm(x - (v + c), axis=0).max()) <= weights.sum() * delta
     else:
         plan = cheb_plan(m, spec)
+        _, Z, _, errors = _cg_lemma(pattern, spec, meta)
+        # b_k is off by at most sum_{j>=k} (j - k + 1) Z_{j+1} E(s_j)
+        reach = [sum((j - k + 1) * errors[j] for j in range(k, m)) for k in range(m)]
         b_vals = (-2.0 * kappa / (kappa - 1.0) / spec.Lam) * A.values
         b_vals[diag] += plan.sigma0
+        B = SparseMatrix(pattern, b_vals).to_dense()
         rhat = (1.0 / spec.Lam) * rhs
         b_next, b_nn = np.zeros_like(rhs), np.zeros_like(rhs)
-        state = np.vstack([np.repeat(b_vals[:, None], 4, axis=1), b_next, b_nn, rhat])
-        B = SparseMatrix(pattern, b_vals).to_dense()
-        budget = m * (m + 1) / 2 * delta
-        for k in range(m - 1, -1, -1):
-            assert float(np.linalg.norm(state[eta : eta + n], axis=0).max()) <= z
-            state = evaluate(clenshaw_step_net(pattern, plan.coeffs[k], delta, z), state)
+        # the net runs segment by segment: the rescale layer, each step's
+        # s + 2 layers and the output layer; a segment's last layer emits
+        # every state value as a (+, -) pair
+        starts = _step_starts(_step_levels(meta))
+        inputs = np.vstack([np.repeat(A.values[:, None], 4, axis=1), rhs])
+        out = evaluate(ReluNetwork(net.layers[:1]), inputs)
+        for k, at, end in zip(range(m - 1, -1, -1), starts, starts[1:]):
+            before = out[0::2]
+            assert float(np.linalg.norm(before[eta : eta + n], axis=0).max()) <= 1.0
+            out = evaluate(ReluNetwork(net.layers[at:end]), np.maximum(out, 0.0))
+            state = out[0::2]
             b_next, b_nn = plan.coeffs[k] * rhat + 2.0 * (B @ b_next) - b_nn, b_next
-            assert gap(state, 0, b_next) <= budget and gap(state, 1, b_nn) <= budget
+            assert gap(Z[k] * state, 0, b_next) <= reach[k]
+            assert np.array_equal(state[eta + n : eta + 2 * n], before[eta : eta + n])
+        # the output reads x = final_scale Z_0 (b_0 / Z_0)
+        x = evaluate(ReluNetwork(net.layers[starts[-1] :]), np.maximum(out, 0.0))
+        x_gap = float(np.linalg.norm(x - meta["final_scale"] * b_next, axis=0).max())
+        assert x_gap <= abs(meta["final_scale"]) * reach[0] * (1.0 + 1e-9)
+
+
+def _cg_lemma(pattern, spec, meta):
+    """The cg lemma recomputed from a build's metadata.
+
+    Returns the truncation, Z_0 .. Z_{m+1}, levels[k] (the level of the
+    matvec that makes b_k) and errors[k] = Z_{k+1} E(s_k), that matvec's
+    error bound in b_k, with E the certified error of a normalized matvec.
+    """
+    m, eps, c_sc, kappa = meta["m"], meta["epsilon"], meta["c_sc"], meta["kappa"]
+    coeffs = cheb_plan(m, spec).coeffs
+    truncation = c_sc / math.cosh(m * math.acosh(meta["sigma0"]))
+    S = [sum(coeffs[j] * (j - k + 1) for j in range(k, m)) for k in range(m + 2)]
+    Z = [c_sc / kappa * S_k + (eps - truncation) / abs(meta["final_scale"]) for S_k in S]
+    levels = _step_levels(meta)[::-1]
+    errors = [Z[k + 1] * sparse_matvec_error(pattern, levels[k], 1.0, 2.0) for k in range(m)]
+    return truncation, Z, levels, errors
 
 
 def _budget_cases():
@@ -331,7 +409,8 @@ def _budget_cases():
 @pytest.mark.parametrize("method", ["richardson", "cg"])
 def test_truncation_plus_arithmetic_budget_stays_within_eps(method):
     # the solvers lemmas, recomputed from each build's metadata: the truncation
-    # plus delta times the weight its errors reach x with is at most eps
+    # plus every matvec's error times the weight it reaches x with is at
+    # most eps; Richardson's matvecs share one delta, cg's each have a level
     build = build_richardson_net if method == "richardson" else build_cg_net
     for pattern, spec in _budget_cases():
         c_max = (1.0 + spec.kappa) / 2.0 if method == "richardson" else spec.kappa
@@ -339,27 +418,45 @@ def test_truncation_plus_arithmetic_budget_stays_within_eps(method):
             for c_sc in (1.0, c_max):
                 meta = build(pattern, spec, SolverConfig(method, eps, c_sc)).metadata
                 m, delta, kappa = meta["m"], meta["delta"], meta["kappa"]
+                assert delta > 0.0
                 if method == "richardson":
                     rho = (kappa - 1.0) / (kappa + 1.0)
                     truncation = rho ** (m + 1) * c_sc
                     weight = sum(min(i, (1.0 + kappa) / 2.0) for i in range(1, m + 1))
+                    terms = [delta * weight]
                 else:
-                    truncation = c_sc / math.cosh(m * math.acosh(meta["sigma0"]))
-                    weight = abs(meta["final_scale"]) * m * (m + 1) / 2.0
-                assert delta > 0.0
+                    truncation, _, levels, errors = _cg_lemma(pattern, spec, meta)
+                    terms = [abs(meta["final_scale"]) * (k + 1) * errors[k] for k in range(m)]
                 # the slack covers the rounding of the two sides' arithmetic
-                assert truncation + delta * weight <= eps * (1.0 + 1e-9)
+                spent = truncation + sum(terms)
+                assert spent <= eps * (1.0 + 1e-9)
+                if method == "cg":
+                    # the schedule stopped: a stage fewer on any matvec would
+                    # quadruple its term and overspend
+                    assert all(
+                        spent + 3.0 * term > eps * (1.0 - 1e-9)
+                        for term, s in zip(terms, levels)
+                        if s > 1
+                    )
 
 
 def test_matvec_input_bound_never_exceeds_the_state_bound():
-    # criterion 04's configurations, against the whole-state bounds m + 3 and 3 m^2
+    # criterion 04's configurations, against the whole-state bounds m + 3 and
+    # 3 m^2; cg's normalized matvecs read z = 1, and its state bounds Z_k
+    # sit between the lemma's (c_sc/kappa) S_k and 3 m^2
     for n in (8, 16, 32):
         fem = gen_laplacian(1, n)
+        spec = fem.spectral
         for eps in (0.5, 0.1, 0.02):
-            for method, build in (("richardson", build_richardson_net), ("cg", build_cg_net)):
-                meta = build(fem.pattern, fem.spectral, SolverConfig(method, eps)).metadata
-                m = meta["m"]
-                assert 1.0 <= meta["z"] <= (m + 3 if method == "richardson" else 3 * m * m)
+            meta = build_richardson_net(fem.pattern, spec, SolverConfig("richardson", eps)).metadata
+            assert 1.0 <= meta["z"] <= meta["m"] + 3
+            meta = build_cg_net(fem.pattern, spec, SolverConfig("cg", eps)).metadata
+            m, plan = meta["m"], cheb_plan(meta["m"], spec)
+            assert meta["z"] == 1.0
+            Z, _ = _clenshaw_schedule(fem.pattern, plan, eps, 1.0, spec.kappa)
+            S = [sum(plan.coeffs[j] * (j - k + 1) for j in range(k, m)) for k in range(m + 2)]
+            assert len(Z) == m + 2
+            assert all(S_k / spec.kappa <= Z_k <= 3 * m * m for S_k, Z_k in zip(S, Z))
 
 
 @pytest.mark.parametrize("method,builder", [("richardson", build_richardson_net), ("cg", build_cg_net)])
