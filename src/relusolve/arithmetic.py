@@ -28,6 +28,15 @@ x <= 1/2, g = 2x is exact; for x > 1/2, x - 1/2 is exact (Sterbenz) and
 So f_s and its float values are the clamped hat's on the domain; the two
 differ only where some |u| > 1, outside every certificate.
 
+Stage t holds its hat channels at scale 4^-t, n1 = relu(x) / 4^t and
+n2 = relu(x - 1/2) / 4^t, so no layer but the stage count depends on the
+level s: a level-s product net is any deeper one's first s + 1 layers plus
+its last.  ReLU is positively homogeneous and 4^-t a power of two, so while
+a scaled channel is a normal double it is the unscaled one times 4^-t bit
+for bit and every sum rounds as before.  Only for |u| < 2^(s+1) 2^-1022
+does a channel go subnormal and round; a term of weight w then moves by a
+small multiple of s |w| 2^-1074, far inside every certificate.
+
 A product net is a bank of T identical terms, one per product.  Each layer
 of a term is written once, as a small block, and the bank's layer tiles it
 with sp.kron(sp.identity(T), block), so term p owns the p-th diagonal block
@@ -60,7 +69,7 @@ __all__ = [
     "scalar_product_net",
     "sparse_matvec_error",
     "sparse_matvec_net",
-    "sparse_matvec_nets",
+    "sparse_matvec_net_at",
     "square_net",
 ]
 
@@ -165,6 +174,10 @@ class SparseMatrix:
         return f"SparseMatrix(n={self.pattern.n}, eta={self.pattern.eta})"
 
 
+# f_s(|u|) = c - g / 4^s from a chain's (n1, n2, c) after any stage s
+_READOUT = np.array([[-2.0, 4.0, 1.0]])
+
+
 def _bank(num_terms: int, block):
     """The layer of a bank of num_terms terms that each apply block."""
     return sp.kron(sp.identity(num_terms), block, format="csr")
@@ -176,45 +189,29 @@ def _saw_stage_layers(num_terms: int, s: int, chains: int):
     A term runs `chains` chains (one for square_net; two, u and v, for the
     product nets) on 3 * chains channels ordered kind-major, kinds n1, n2 and
     the carry c, e.g. (n1u, n1v, n2u, n2v, cu, cv).  Stage 1 reads a (+, -)
-    pair per chain and sets every kind to |input| (the carry starts at
-    f_0(u) = u); a later stage sets n1 and n2 to g = 2 n1 - 4 n2 before their
-    ReLU biases (0, -1/2) and the carry to c - g / 4^(stage-1).  Every stage
-    input lies in [0, 1], because |u| <= 1 on each product net's admissible
-    domain and g maps [0, 1] into [0, 1], so the hat needs no clamp
-    relu(x - 1): that channel is +0.0 there and f_s is unchanged.
+    pair per chain: n1 and n2 get |input| / 4 before their ReLU biases
+    (0, -1/8), the carry |input| (f_0(u) = u).  Stage t > 1 sets n1 and n2
+    to n1 / 2 - n2 = g / 4^t before their biases (0, -2^(-2t-1)), and the
+    carry to c - 2 n1 + 4 n2 = c - g / 4^(t-1).
     """
     chain = sp.identity(chains, format="csr")
-    bias = np.tile(np.repeat([0.0, -0.5, 0.0], chains), num_terms)
-    first = sp.kron(np.ones((3, 1)), sp.kron(chain, [[1.0, 1.0]]))
-    layers = [Layer(_bank(num_terms, first), bias)]
-    for stage in range(2, s + 1):
-        q = 4.0 ** (-(stage - 1))
-        # rows and columns of one chain's (n1, n2, c)
-        block = [[2.0, -4.0, 0.0]] * 2 + [[-2.0 * q, 4.0 * q, 1.0]]
-        layers.append(Layer(_bank(num_terms, sp.kron(block, chain)), bias))
-    return layers
+    first = _bank(num_terms, sp.kron([[0.25], [0.25], [1.0]], sp.kron(chain, [[1.0, 1.0]])))
+    # rows and columns of one chain's (n1, n2, c); the carry row is the readout
+    later = _bank(num_terms, sp.kron(np.vstack([[0.5, -1.0, 0.0], [0.5, -1.0, 0.0], _READOUT]), chain))
+    return [
+        Layer(first if t == 1 else later,
+              np.tile(np.repeat([0.0, -0.5 * 4.0**-t, 0.0], chains), num_terms))
+        for t in range(1, s + 1)
+    ]
 
 
-def _readout(s: int) -> np.ndarray:
-    """f_s(|u|) from one chain's last stage (n1, n2, c): c - g / 4^s.
-
-    As in the stages, g = 2 n1 - 4 n2 is the hat on [0, 1], where the
-    stage input lies on the admissible domain.
-    """
-    qf = 4.0 ** (-s)
-    return np.array([[-2.0 * qf, 4.0 * qf, 1.0]])
-
-
-def _polarized_sum_nets(n_in: int, a_cols, b_cols, coefs, weight: float, groups, levels) -> dict:
-    """Banks of paired squaring chains with an exact summation output layer.
+def _polarized_sum_net(n_in: int, a_cols, b_cols, coefs, weight: float, groups, s: int):
+    """A bank of paired squaring chains with an exact summation output layer.
 
     Term p contributes weight * (f_s(|a+b|) - f_s(|a-b|)) ~ weight * 4ab to
     each output row whose groups entry in column p is 1, where
-    a = coefs[0] * x[a_cols[p]] and b = coefs[1] * x[b_cols[p]].  The net at
-    level s in levels is the input map, s saw stages and the summation:
-    depth s + 2.  Stage t does not depend on the level, so the nets share
-    one stack, the deepest net's first s + 1 layers, and each builds only
-    its own summation.
+    a = coefs[0] * x[a_cols[p]] and b = coefs[1] * x[b_cols[p]].  The net is
+    the input map, s saw stages and the summation: depth s + 2.
     """
     num_terms = len(a_cols)
     pick = sp.csr_matrix(
@@ -225,15 +222,13 @@ def _polarized_sum_nets(n_in: int, a_cols, b_cols, coefs, weight: float, groups,
     # per term (a, b) -> (u+, u-, v+, v-) with u = a+b, v = a-b
     ac, bc = coefs
     pair_abs = [[ac, bc], [-ac, -bc], [ac, -bc], [-ac, bc]]
-    stack = [Layer(_bank(num_terms, pair_abs) @ pick)]
-    stack.extend(_saw_stage_layers(num_terms, max(levels), chains=2))
+    layers = [Layer(_bank(num_terms, pair_abs) @ pick)]
+    layers.extend(_saw_stage_layers(num_terms, s, chains=2))
     # a term sums f_s(|u|) - f_s(|v|) over its (u, v) chain pairs: the
     # columns run n1u, n1v, n2u, n2v, cu, cv, so every +/- pair is adjacent
     # and cancels first
-    return {
-        s: ReluNetwork(stack[: s + 1] + [Layer(sp.kron(groups, weight * sp.kron(_readout(s), MERGE)))])
-        for s in levels
-    }
+    layers.append(Layer(sp.kron(groups, weight * sp.kron(_READOUT, MERGE))))
+    return ReluNetwork(layers)
 
 
 def square_net(s: int, D: float = 1.0) -> ReluNetwork:
@@ -245,7 +240,7 @@ def square_net(s: int, D: float = 1.0) -> ReluNetwork:
     D = float(D)
     layers = [Layer(SPLIT / D)]
     layers.extend(_saw_stage_layers(1, s, chains=1))
-    layers.append(Layer(D * D * _readout(s)))
+    layers.append(Layer(D * D * _READOUT))
     return ReluNetwork(layers)
 
 
@@ -263,7 +258,7 @@ def mult_net(eps: float, D: float = 1.0) -> ReluNetwork:
     D = float(D)
     s = _refinement(math.log2(1.0 / eps) + 2.0 * math.log2(D))
     half = 1.0 / (2.0 * D)
-    return _polarized_sum_nets(2, [0], [1], (half, half), D * D, [[1.0]], [s])[s]
+    return _polarized_sum_net(2, [0], [1], (half, half), D * D, [[1.0]], s)
 
 
 def scalar_product_net(k: int, eps: float, z: float = 1.0) -> ReluNetwork:
@@ -281,8 +276,7 @@ def scalar_product_net(k: int, eps: float, z: float = 1.0) -> ReluNetwork:
     z = float(z)
     s = _refinement(math.log2(k * z / eps))
     terms = np.arange(k)
-    nets = _polarized_sum_nets(2 * k, terms, k + terms, (1.0 / (2.0 * z), 0.5), z, np.ones((1, k)), [s])
-    return nets[s]
+    return _polarized_sum_net(2 * k, terms, k + terms, (1.0 / (2.0 * z), 0.5), z, np.ones((1, k)), s)
 
 
 def sparse_matvec_error(
@@ -296,17 +290,18 @@ def sparse_matvec_error(
     return math.sqrt(pattern.n) * pattern.chi_max * abs(scale) * z * 4.0 ** (-s - 1)
 
 
-def sparse_matvec_nets(
-    pattern: SparsityPattern, levels, z: float = 1.0, scale: float = 1.0
-) -> dict:
-    """The matvec net (A^v, r) -> scale * A r at each refinement level in levels.
+def sparse_matvec_net_at(
+    pattern: SparsityPattern, s: int, z: float = 1.0, scale: float = 1.0
+) -> ReluNetwork:
+    """The matvec net (A^v, r) -> scale * A r at refinement level s.
 
-    Admissible inputs: ||A||_2 <= 1 and ||r||_2 <= z; the level-s net errs by
-    at most sparse_matvec_error(pattern, s, z, scale).  Term p is position
+    Admissible inputs: ||A||_2 <= 1 and ||r||_2 <= z, where it errs by at
+    most sparse_matvec_error(pattern, s, z, scale).  Term p is position
     p = (i, j): it reads r_j and A^v_p straight from the net's input and
-    sums into row i; rows share one level (the chi_max worst case) so the
-    bank needs no padding.  The nets share one stack of saw stages.
+    sums into row i; rows share one level, so the bank needs no padding.
     """
+    if s < 1:
+        raise ValueError("refinement level must be at least 1")
     if z < 1:
         raise ValueError("rhs bound must be at least 1")
     if scale == 0:
@@ -314,8 +309,8 @@ def sparse_matvec_nets(
     n, eta = pattern.n, pattern.eta
     positions = np.arange(eta)
     groups = sp.csr_matrix((np.ones(eta), positions, pattern.indptr), shape=(n, eta))
-    return _polarized_sum_nets(
-        eta + n, eta + pattern.indices, positions, (1.0 / (2.0 * z), 0.5), scale * z, groups, levels
+    return _polarized_sum_net(
+        eta + n, eta + pattern.indices, positions, (1.0 / (2.0 * z), 0.5), scale * z, groups, s
     )
 
 
@@ -326,7 +321,7 @@ def sparse_matvec_net(
 
     Admissible inputs: ||A||_2 <= 1 and ||r||_2 <= z.  Each row is a scalar
     product of (r | chi_i) with its row-i values at per-row accuracy
-    eps / (|scale| sqrt(n)); the net is sparse_matvec_nets' at the level
+    eps / (|scale| sqrt(n)); the net is sparse_matvec_net_at's at the level
     that gives.
     """
     if eps <= 0:
@@ -337,4 +332,4 @@ def sparse_matvec_net(
         raise ValueError("scale must be nonzero")
     eps_row = eps / (abs(scale) * math.sqrt(pattern.n))
     s = _refinement(math.log2(pattern.chi_max * z / eps_row))
-    return sparse_matvec_nets(pattern, [s], z, scale)[s]
+    return sparse_matvec_net_at(pattern, s, z, scale)

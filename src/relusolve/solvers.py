@@ -20,10 +20,13 @@ b_k = alpha_k r + 2 B b_next - b_nextnext against the Chebyshev
 coefficients of the optimal solver polynomial, with identity carries and
 the combination C fused into the body's last layer.  The cg branch builds
 the deepest body once: a step at level s runs its first layer and saw
-levels 1..s, then its own fused end, so the m steps share every layer but
-the fused one.  Both networks take the concatenation (A^v, r) of matrix
-values and right-hand side as input and approximate A^{-1} r to the
-configured accuracy.
+levels 1..s, then C times the body's own end: arithmetic holds saw stage
+t's hat channels at scale 4^-t, exact by ReLU's positive homogeneity while
+they stay normal doubles (they round by a few 2^-1074 only where
+|u| < 2^(s+1) 2^-1022), so one end serves every level, and the m steps
+share every layer but the fused one.  Both networks take the concatenation
+(A^v, r) of matrix values and right-hand side as input and approximate
+A^{-1} r to the configured accuracy.
 
 Each matvec is built at an accuracy for inputs of norm at most a bound; a
 looser accuracy or a smaller bound means fewer sawtooth stages.  Both come
@@ -77,7 +80,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .arithmetic import SparsityPattern, sparse_matvec_error, sparse_matvec_net, sparse_matvec_nets
+from .arithmetic import SparsityPattern, sparse_matvec_error, sparse_matvec_net, sparse_matvec_net_at
 from .calculus import affine_net, parallelize_shared, pipeline
 from .network import Layer, ReluNetwork, make_layer, stats
 
@@ -265,39 +268,16 @@ def _clenshaw_body(pattern: SparsityPattern, mv: ReluNetwork) -> ReluNetwork:
     return _step_body(pattern, mv, sp.identity(3 * n), np.concatenate([rhat, b_nn, b_next]))
 
 
-def _clenshaw_stack(pattern: SparsityPattern, levels):
-    """The deepest Clenshaw body and the end layer ends[s] of each level in levels.
-
-    A step at level s runs the body's first s + 1 layers, then ends[s] with
-    its combination fused in.  parallelize_shared ends the body block
-    diagonally in member order: the eta identity pairs merge from columns
-    [0, 2 eta), the matvec's summation fills rows [eta, eta + n), and the
-    carry pairs merge in the rest; ends[s] holds the level-s summation in
-    that block.  The matvec nets die here: the body holds copies of their
-    layers, and holding them too raised the peak memory of a cg n=32 build
-    by 0.4 MB.
-    """
-    n, eta = pattern.n, pattern.eta
-    mvs = sparse_matvec_nets(pattern, levels, 1.0, 2.0)
-    body = _clenshaw_body(pattern, mvs[max(levels)])
-    end = body.layers[-1]
-    ids, carry = end.weight[:eta, : 2 * eta], end.weight[eta + n :, end.cols - 6 * n :]
-    ends = {
-        s: Layer(sp.block_diag([ids, mv.layers[-1].weight, carry]), end.bias) for s, mv in mvs.items()
-    }
-    return body, ends
-
-
 def _fused_step(
-    stack, end: Layer, pattern: SparsityPattern, w_scale: float, alpha: float, nn_scale: float
+    body: ReluNetwork, s: int, pattern: SparsityPattern, w_scale: float, alpha: float, nn_scale: float
 ) -> ReluNetwork:
-    """The step stack + [C end]: the combination C fused into the body's end.
+    """The level-s step: body's first s + 1 layers, then C fused into body's end.
 
     C maps the blocks [B^v, w, rhat, b_nn, b_next] to the next state
     (B^v, w_scale w + alpha rhat - nn_scale b_nn, b_next, rhat).  Each row of
     C reads blocks whose end rows occupy disjoint columns, so every product
     entry is a single float multiplication, and the +/- partners of the
-    matvec's summation still cancel exactly.  The stack's layers are shared,
+    matvec's summation still cancel exactly.  The body's layers are shared,
     not copied.
     """
     n, eta = pattern.n, pattern.eta
@@ -308,7 +288,8 @@ def _fused_step(
         [np.ones(eta), np.full(n, w_scale), np.full(n, alpha), np.full(n, -nn_scale), np.ones(2 * n)]
     )
     C = make_layer((eta + 3 * n, eta + 4 * n), rows, cols, vals).weight
-    return ReluNetwork(list(stack) + [Layer(C @ end.weight, C @ end.bias)])
+    end = body.layers[-1]
+    return ReluNetwork(body.layers[: s + 1] + (Layer(C @ end.weight, C @ end.bias),))
 
 
 def clenshaw_step_net(
@@ -324,7 +305,7 @@ def clenshaw_step_net(
     if not 0.0 <= alpha_bar <= 1.0:
         raise ValueError("normalized coefficient must lie in [0, 1]")
     body = _clenshaw_body(pattern, sparse_matvec_net(pattern, delta, z, scale=2.0))
-    return _fused_step(body.layers[:-1], body.layers[-1], pattern, 1.0, alpha_bar, 1.0)
+    return _fused_step(body, body.depth - 2, pattern, 1.0, alpha_bar, 1.0)
 
 
 def _greedy_levels(unit: np.ndarray, budget: float) -> np.ndarray:
@@ -415,16 +396,14 @@ def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: Solver
         m = m_cg(eps, c_sc, rho_alpha(spec, 0.5))
         plan = cheb_plan(m, spec)
         Z, levels = _clenshaw_schedule(pattern, plan, eps, c_sc, kappa)
-        body, ends = _clenshaw_stack(pattern, sorted(set(levels)))
+        # the deepest body at its normalized input bound
+        s_max, z = max(levels), 1.0
+        body = _clenshaw_body(pattern, sparse_matvec_net_at(pattern, s_max, z, 2.0))
         steps = [
-            _fused_step(
-                body.layers[: levels[k] + 1], ends[levels[k]], pattern,
-                Z[k + 1] / Z[k], plan.coeffs[k] / Z[k], Z[k + 2] / Z[k],
-            )
+            _fused_step(body, levels[k], pattern, Z[k + 1] / Z[k], plan.coeffs[k] / Z[k], Z[k + 2] / Z[k])
             for k in range(m - 1, -1, -1)
         ]
-        # the deepest body at its normalized input bound
-        delta, z = sparse_matvec_error(pattern, max(levels), 1.0, 2.0), 1.0
+        delta = sparse_matvec_error(pattern, s_max, z, 2.0)
         # state (B^v, b_next / Z_{k+1}, b_nextnext / Z_{k+2}, rhat):
         # B^v = sigma0 I - (slope/Lam) A, rhat = r / Lam, Clenshaw carries
         # start at zero; x = final_scale * Z_0 * (b_0 / Z_0)

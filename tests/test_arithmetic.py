@@ -17,10 +17,10 @@ from relusolve.arithmetic import (
     scalar_product_net,
     sparse_matvec_error,
     sparse_matvec_net,
-    sparse_matvec_nets,
+    sparse_matvec_net_at,
     square_net,
 )
-from relusolve.network import evaluate, network_to_dict, stats
+from relusolve.network import ReluNetwork, evaluate, network_to_dict, stats
 
 
 def assert_product_net_size(net, terms, s):
@@ -129,6 +129,25 @@ def test_square_net_is_the_clamped_sawtooth_bit_for_bit_on_its_domain(s, D):
                               clamped_square(outside, s, D))
 
 
+@pytest.mark.parametrize("s", [1, 3, 6, 9, 12])
+@pytest.mark.parametrize("D", [1.0, 3.0])
+def test_scaled_hat_channels_are_the_unscaled_ones_down_to_tiny_inputs(s, D):
+    # stage t's channels are the clamped hat's times 4^-t, exact while they
+    # stay normal doubles: from 1e-300 D the stage-t input 2^(t-1) |x| / D
+    # keeps its channel 2^(-t-1) |x| / D above 2^-1022 for every s <= 12
+    rng = np.random.default_rng(s)
+    tiny = np.logspace(-300, 0) * D
+    grid = np.concatenate([tiny, -tiny, rng.uniform(-D, D, 2000)])
+    out = evaluate(square_net(s, D), grid[None, :])[0]
+    assert out.tobytes() == clamped_square(grid, s, D).tobytes()
+    # below that a channel is subnormal and the scaling may round, within
+    # the certificate
+    sub = np.array([np.nextafter(0.0, 1.0), 1e-320, 1e-310, 2.2e-308]) * D
+    sub = np.concatenate([sub, -sub])
+    out = evaluate(square_net(s, D), sub[None, :])[0]
+    assert np.all(np.abs(out - sub * sub) <= D * D * 4.0 ** (-s - 1))
+
+
 def test_square_net_validation():
     with pytest.raises(ValueError, match="refinement level"):
         square_net(0)
@@ -216,28 +235,75 @@ def test_sparse_matvec_net_certificate(scale):
         assert np.linalg.norm(out - scale * (A.to_dense() @ r)) <= eps
 
 
+def _ball(rng, dim: int, count: int, radius: float) -> np.ndarray:
+    """count columns drawn in the radius ball, norms from 0.1 to 1 times radius."""
+    v = rng.normal(size=(dim, count))
+    return v * (rng.uniform(0.1, 1.0, count) * radius / np.linalg.norm(v, axis=0))
+
+
+def assert_same_bytes(got, want):
+    """Two networks whose stored arrays agree in keys, dtypes and bytes."""
+    got, want = network_to_dict(got), network_to_dict(want)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key].dtype == value.dtype and got[key].tobytes() == value.tobytes(), key
+
+
+def _product_net_cases(rng) -> dict:
+    """name -> (level t -> net, level t -> certificate, admissible inputs, exact outputs).
+
+    Each net comes from its public constructor at an accuracy twice its
+    level-t certificate, which lies strictly between the certificates of
+    levels t and t - 1.
+    """
+    D, k, z = 2.0, 4, 2.0
+    x = rng.uniform(-D, D, size=(1, 200))
+    xy = rng.uniform(-D, D, size=(2, 200))
+    yx = np.vstack([_ball(rng, k, 200, z), _ball(rng, k, 200, 1.0)])
+    return {
+        "square_net": (lambda t: square_net(t, D), lambda t: D * D * 4.0 ** (-t - 1), x, x * x),
+        "mult_net": (lambda t: mult_net(2.0 * D * D * 4.0 ** (-t - 1), D),
+                     lambda t: D * D * 4.0 ** (-t - 1), xy, xy[:1] * xy[1:]),
+        "scalar_product_net": (lambda t: scalar_product_net(k, 2.0 * k * z * 4.0 ** (-t - 1), z),
+                               lambda t: k * z * 4.0 ** (-t - 1), yx, (yx[:k] * yx[k:]).sum(axis=0)),
+    }
+
+
+@pytest.mark.parametrize("name", ["square_net", "mult_net", "scalar_product_net"])
+def test_a_shallower_product_net_is_a_deeper_ones_first_layers_and_its_last(name):
+    # saw stage t holds its hat channels at scale 4^-t, so no layer but the
+    # stage count depends on the level: the level-t net is the level-6 net's
+    # first t + 1 layers and its last, byte for byte, and meets its certificate
+    build, certificate, inputs, exact = _product_net_cases(np.random.default_rng(29))[name]
+    top = build(6)
+    for t in (1, 3, 6):
+        alone = build(t)
+        assert alone.depth == t + 2
+        assert_same_bytes(ReluNetwork(top.layers[: t + 1] + top.layers[-1:]), alone)
+        errors = np.linalg.norm(np.atleast_2d(evaluate(alone, inputs) - exact), axis=0)
+        assert errors.max() <= certificate(t)
+
+
 @pytest.mark.parametrize("scale", [2.0, -0.5])
 def test_sparse_matvec_nets_share_one_stack_and_meet_their_certificates(scale):
-    # the level-s net is the deepest net's first s + 1 layers, the same
-    # objects, and its own summation; it errs by at most sparse_matvec_error
-    # and is the sparse_matvec_net that twice that error asks for, which lies
-    # strictly between the level's certificate and the next shallower one's
+    # the level-s matvec is the level-6 one's first s + 1 layers and its
+    # last, byte for byte; it errs by at most sparse_matvec_error and is the
+    # sparse_matvec_net that twice that error asks for, which lies strictly
+    # between the level's certificate and the next shallower one's
     pat, z = tridiagonal_pattern(5), 2.0
-    nets = sparse_matvec_nets(pat, [1, 3, 6], z, scale)
+    top = sparse_matvec_net_at(pat, 6, z, scale)
     rng = np.random.default_rng(29)
-    for s, net in nets.items():
+    for s in (1, 3, 6):
+        net = sparse_matvec_net_at(pat, s, z, scale)
         assert_product_net_size(net, pat.eta, s)
-        assert all(a is b for a, b in zip(net.layers[: s + 1], nets[6].layers))
+        assert_same_bytes(ReluNetwork(top.layers[: s + 1] + top.layers[-1:]), net)
         err = sparse_matvec_error(pat, s, z, scale)
-        alone = network_to_dict(sparse_matvec_net(pat, 2.0 * err, z, scale))
-        for key, value in network_to_dict(net).items():
-            assert np.array_equal(value, alone[key]), key
-        for _ in range(10):
-            A = random_operator(pat, rng)
-            r = rng.normal(size=pat.n)
-            r *= rng.uniform(0.1, 1.0) * z / np.linalg.norm(r)
-            out = evaluate(net, np.concatenate([A.values, r]))
-            assert np.linalg.norm(out - scale * (A.to_dense() @ r)) <= err
+        assert_same_bytes(sparse_matvec_net(pat, 2.0 * err, z, scale), net)
+        mats = [random_operator(pat, rng) for _ in range(20)]
+        rs = _ball(rng, pat.n, 20, z)
+        out = evaluate(net, np.vstack([np.column_stack([A.values for A in mats]), rs]))
+        exact = scale * np.column_stack([A.to_dense() @ r for A, r in zip(mats, rs.T)])
+        assert np.linalg.norm(out - exact, axis=0).max() <= err
 
 
 def test_sparse_matvec_net_exact_zeros():
@@ -285,6 +351,12 @@ def test_sparse_matvec_net_validation():
         sparse_matvec_net(pat, 0.1, 0.5)
     with pytest.raises(ValueError, match="scale"):
         sparse_matvec_net(pat, 0.1, 1.0, 0.0)
+    with pytest.raises(ValueError, match="refinement level"):
+        sparse_matvec_net_at(pat, 0)
+    with pytest.raises(ValueError, match="rhs bound"):
+        sparse_matvec_net_at(pat, 2, 0.5)
+    with pytest.raises(ValueError, match="scale"):
+        sparse_matvec_net_at(pat, 2, 1.0, 0.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -284,28 +284,28 @@ def _small_parallel():
 FROZEN_NETS = {
     "square_net(1, 1)": (
         lambda: square_net(1, 1.0),
-        "bb5bd00b9d3abf7bb838481c0a1668326c0d2268dc5c4ac01432c81fef55d573"),
+        "af06c22007b82ac544e57e00931f68735f5d0e7820672769c59da8f286381707"),
     "square_net(1, 3)": (
         lambda: square_net(1, 3.0),
-        "5479ed410a0026db82a5f7e615f5f92908096032ea2ce9cb6a8d53c550e8163f"),
+        "fa23477a081c326ed4226bf5d6d4980da0af6b8d917c4fd455353df0e5497ca6"),
     "square_net(5, 1)": (
         lambda: square_net(5, 1.0),
-        "bd9559e6e94a618572929c5d470b863cc0144e804bd3826bcad2f900585b4711"),
+        "21f6a0512322e703de43430bbcfa3709af4b30afd270444875c27d7dbfbea259"),
     "square_net(5, 3)": (
         lambda: square_net(5, 3.0),
-        "03dcce7feb475af433302ef20891125cdf38965694113a998c03ce1a03df82e2"),
+        "795b783b86cb0098046432ba2937f3d26c65cf2c0a96d39f3a54cd3db423ac12"),
     "mult_net(1e-2, 4)": (
         lambda: mult_net(1e-2, 4.0),
-        "f5c3ae7cbd8a399af658db96be2dfcc41f8b379e4b36d1d46a30d9c59efe4e64"),
+        "84118d1dad201b676f4049d042c5f968b83b451fda6ac0ed2549cf3fd4c98539"),
     "scalar_product_net(3, 1e-3, 5)": (
         lambda: scalar_product_net(3, 1e-3, 5.0),
-        "45f568d6807b374f7388be247727ee94755a650dba4d4b51839c6e4ebc66a932"),
+        "e600d9782d9d9d0988b5d1a9d901296e41505b6d0cde5915e908b31cbee1a2e8"),
     "sparse_matvec_net(lap1d 5)": (
         lambda: sparse_matvec_net(gen_laplacian(1, 5).pattern, 1e-2, 3.0, -2.5),
-        "450936a7094d09962b68b3f0dbb84365d559078cc8f53e91ed2fc66dff1747c0"),
+        "968bc50cd6b5a9bccad4684561d3828acc084648e29424df7779d535883f583d"),
     "sparse_matvec_net(lap2d 3)": (
         lambda: sparse_matvec_net(gen_laplacian(2, 3).pattern, 1e-2, 3.0, -2.5),
-        "f654f1e6167ea6286d123c5b1479d25a4abd915906dbe86e77ada4e1fd52b1eb"),
+        "6be79d8f9a2f825fe8eecf01060b4b3fdbdd4f5c7f6b49159e98ca3b5633f585"),
     "identity_net(3, 4)": (
         lambda: identity_net(3, 4),
         "16be824e5fdcb72e436cc5b401554c5d40f375dcca080f58a021b66cb86d7023"),
@@ -317,10 +317,10 @@ FROZEN_NETS = {
         "e9d18ffcaa690fd6f97ef8c240197394cce1e7893a87de9a8ba7a402d79272a2"),
     "pipeline": (
         _small_pipeline,
-        "cc6e8d80b8e2b37f487f63c7cbd1c6a3dd1af5bf382d7530a9e6381c55221225"),
+        "4a582994dda6cb4555968b516794db6d918440e573b5deff24a5d2da1710a7a5"),
     "parallelize_shared": (
         _small_parallel,
-        "5c8cc17edd1e4bcc8b4760c4ded37d1895993e5fc9e446fde9360b06274f8671"),
+        "70ac01d6ab596a0cf547bfc9aed0ed14663439b05a384a8232e555c56ea50de4"),
 }
 
 

@@ -373,10 +373,10 @@ def assert_frozen_file(tmp_path, net, digest):
     "method, build, digest",
     [
         pytest.param("richardson", build_richardson_net,
-                     "5b485a3d54e0842d98f8060dc916bb660f579ffd92c742908da59234490365ee",
+                     "1bd5fb30e5026250bb9ff65f9bdc16d2041223d697bdacf617e7ecfc25ad812f",
                      id="richardson-build_richardson_net"),
         pytest.param("cg", build_cg_net,
-                     "f1b0c7a1152f2737018b8dfa13d0f6ef020e48e965fd4c4a0a17776cd1bf1287",
+                     "03fd8996b6674d6327f4e6904a1077df68f7af6f100b2da459e318027bdad830",
                      id="cg-build_cg_net"),
     ],
 )
@@ -389,10 +389,10 @@ def test_saved_file_bytes_are_frozen(tmp_path, method, build, digest):
     "method, build, digest",
     [
         pytest.param("richardson", build_richardson_net,
-                     "6ec94d38fbc34865ee04a87a96e7c4ff932be11e48c87f3a2b7f1454835a38d2",
+                     "01c290b6897dfa0342fe6cf7aeec1dc3105e7f33b6ab4a222d22e6d4a63e2174",
                      id="richardson-build_richardson_net"),
         pytest.param("cg", build_cg_net,
-                     "b6b210cd4365b1562c4bf3c366daa2c8d149a287da7ab222458b42bdb4367a11",
+                     "3852db2f980f810a1ad79b8ea65b7fe353665e62a038d5c1aef189cd6782258a",
                      id="cg-build_cg_net"),
     ],
 )

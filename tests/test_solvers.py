@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import pattern_of, random_operator, tridiagonal_pattern
 from oracles import divided_cheb_coeffs
-from relusolve.arithmetic import SparseMatrix, sparse_matvec_error, sparse_matvec_net, sparse_matvec_nets
+from relusolve.arithmetic import SparseMatrix, sparse_matvec_error, sparse_matvec_net, sparse_matvec_net_at
+from relusolve.calculus import _merge_first, _split_layer
 from relusolve.network import ReluNetwork, evaluate, stats
 from relusolve.problems import gen_laplacian, random_rhs, random_spd
 from relusolve.reference import solve_exact
@@ -20,7 +21,7 @@ from relusolve.solvers import (
     SpectralClass,
     _clenshaw_body,
     _clenshaw_schedule,
-    _clenshaw_stack,
+    _fused_step,
     audit_complexity,
     build_cg_net,
     build_richardson_net,
@@ -281,15 +282,46 @@ def _same_layer(a, b) -> bool:
 @pytest.mark.parametrize("dim, N", [(1, 8), (2, 4)])
 def test_a_shallower_body_is_the_deepest_stack_and_its_own_end(dim, N):
     # a Clenshaw body built alone at level s equals, bit for bit, the deepest
-    # body's first s + 1 layers followed by the stack's end for level s
+    # body's first s + 1 layers followed by the deepest body's own last layer
     pattern = gen_laplacian(dim, N).pattern
-    deepest, ends = _clenshaw_stack(pattern, [1, 4, 7])
-    assert deepest.depth == 7 + 2 and sorted(ends) == [1, 4, 7]
-    for s, end in ends.items():
-        alone = _clenshaw_body(pattern, sparse_matvec_nets(pattern, [s], 1.0, 2.0)[s])
-        layers = list(deepest.layers[: s + 1]) + [end]
+    deepest = _clenshaw_body(pattern, sparse_matvec_net_at(pattern, 7, 1.0, 2.0))
+    assert deepest.depth == 7 + 2
+    for s in (1, 4, 7):
+        alone = _clenshaw_body(pattern, sparse_matvec_net_at(pattern, s, 1.0, 2.0))
+        layers = deepest.layers[: s + 1] + deepest.layers[-1:]
         assert len(layers) == alone.depth == s + 2
         assert all(_same_layer(got, want) for got, want in zip(layers, alone.layers))
+
+
+def test_clenshaw_step_net_is_built_as_the_cg_builder_builds_its_steps():
+    # the step the acceptance gate checks and the steps the network ships
+    # come from one construction, _fused_step on the deepest body; inside
+    # the net, pipeline reads a step's first layer through pair merges and
+    # splits its last
+    fem = gen_laplacian(1, 32)
+    pattern, spec, config = fem.pattern, fem.spectral, SolverConfig("cg", 0.02)
+    net = build_cg_net(pattern, spec, config)
+    meta = net.metadata
+    levels = _step_levels(meta)
+    s_max = max(levels)
+    starts = _step_starts(levels)
+    deepest = starts[levels.index(s_max)]
+    plan = cheb_plan(meta["m"], spec)
+    c = plan.coeffs[-2]
+    step = clenshaw_step_net(pattern, c, meta["delta"], meta["z"])
+    assert step.depth == s_max + 2
+    assert _same_layer(_merge_first(step.layers[0]), net.layers[deepest])
+    assert all(_same_layer(got, want)
+               for got, want in zip(step.layers[1 : s_max + 1], net.layers[deepest + 1 : deepest + s_max + 1]))
+    body = _clenshaw_body(pattern, sparse_matvec_net_at(pattern, s_max, meta["z"], 2.0))
+    assert _same_layer(step.layers[-1], _fused_step(body, s_max, pattern, 1.0, c, 1.0).layers[-1])
+    # and each shipped step ends in _fused_step's end at its schedule's ratios
+    Z, scheduled = _clenshaw_schedule(pattern, plan, config.epsilon, config.c_sc, spec.kappa)
+    assert scheduled[::-1] == levels
+    for at, k in zip(starts, range(meta["m"] - 1, -1, -1)):
+        s = scheduled[k]
+        fused = _fused_step(body, s, pattern, Z[k + 1] / Z[k], plan.coeffs[k] / Z[k], Z[k + 2] / Z[k])
+        assert _same_layer(_split_layer(fused.layers[-1]), net.layers[at + s + 1])
 
 
 def _bound_cases():
