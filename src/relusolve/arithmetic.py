@@ -302,10 +302,10 @@ def sparse_matvec_net_at(
     """
     if s < 1:
         raise ValueError("refinement level must be at least 1")
-    if z < 1:
-        raise ValueError("rhs bound must be at least 1")
-    if scale == 0:
-        raise ValueError("scale must be nonzero")
+    if not 1 <= z < math.inf:
+        raise ValueError("rhs bound must be finite and at least 1")
+    if not (scale != 0 and math.isfinite(scale)):
+        raise ValueError("scale must be nonzero and finite")
     n, eta = pattern.n, pattern.eta
     positions = np.arange(eta)
     groups = sp.csr_matrix((np.ones(eta), positions, pattern.indptr), shape=(n, eta))
@@ -319,17 +319,13 @@ def sparse_matvec_net(
 ) -> ReluNetwork:
     """Approximate (A^v, r) -> scale * A r within eps for A in the pattern class.
 
-    Admissible inputs: ||A||_2 <= 1 and ||r||_2 <= z.  Each row is a scalar
-    product of (r | chi_i) with its row-i values at per-row accuracy
-    eps / (|scale| sqrt(n)); the net is sparse_matvec_net_at's at the level
-    that gives.
+    Admissible inputs: ||A||_2 <= 1 and ||r||_2 <= z.  The net is
+    sparse_matvec_net_at's at the smallest level whose certified error
+    sparse_matvec_error is at most eps.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("accuracy must be positive")
-    if z < 1:
-        raise ValueError("rhs bound must be at least 1")
-    if scale == 0:
-        raise ValueError("scale must be nonzero")
-    eps_row = eps / (abs(scale) * math.sqrt(pattern.n))
-    s = _refinement(math.log2(pattern.chi_max * z / eps_row))
+    s = 1
+    while sparse_matvec_error(pattern, s, z, scale) > eps:
+        s += 1
     return sparse_matvec_net_at(pattern, s, z, scale)

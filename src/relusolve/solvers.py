@@ -6,27 +6,28 @@ layer, m step networks chained by sparse concatenation, and an exact affine
 output layer.  The rescale writes B^v = b_diag I + b_scale A over the
 pattern and r_scale r at state offset r_at; the output reads x_scale times
 the sum of the n-blocks at the offsets x_at.  Each method's branch sets only
-those numbers, m, delta, z, the steps and its metadata extras: Richardson's
-B^v = I - omega A, r_scale = omega and x the running sum plus the last
-iterate; cg's B^v = sigma0 I - (slope/Lam) A, r_scale = 1/Lam and
-x = final_scale Z_0 (b_0 / Z_0).
+those numbers, m, the matvec budget, each matvec's error weight in the order
+the steps run, its step body and end maps, and its metadata extras:
+Richardson's B^v = I - omega A, r_scale = omega / g and x = g (c/g + v/g);
+cg's B^v = sigma0 I - (slope/Lam) A, r_scale = 1/Lam and
+x = final_scale Z_0 (b_0 / Z_0).  The rest is one tail: the levels, the body
+and the steps.
 
-Both steps also share one body: identity channels on the matrix
-values, a matvec, and an exact affine carry beside them, each carried to
-the matvec's depth by parallelize_shared.  The Richardson step is that
-body, mapping (A, r, c) to (A, Ar, r + c) with the carry [I, I]; the
-cg-type step runs the Clenshaw recurrence
-b_k = alpha_k r + 2 B b_next - b_nextnext against the Chebyshev
-coefficients of the optimal solver polynomial, with identity carries and
-the combination C fused into the body's last layer.  The cg branch builds
-the deepest body once: a step at level s runs its first layer and saw
-levels 1..s, then C times the body's own end: arithmetic holds saw stage
-t's hat channels at scale 4^-t, exact by ReLU's positive homogeneity while
-they stay normal doubles (they round by a few 2^-1074 only where
-|u| < 2^(s+1) 2^-1022), so one end serves every level, and the m steps
-share every layer but the fused one.  Both networks take the concatenation
-(A^v, r) of matrix values and right-hand side as input and approximate
-A^{-1} r to the configured accuracy.
+Both steps share one body: identity channels on the matrix values, a
+matvec, and an exact affine carry beside them, each carried to the matvec's
+depth by parallelize_shared.  The Richardson body maps (B^v, v, c) to
+(B^v, B v, v + c) with the carry [I, I]; the cg-type body feeds the Clenshaw
+recurrence b_k = alpha_k r + 2 B b_next - b_nextnext against the Chebyshev
+coefficients of the optimal solver polynomial, with identity carries and a
+combination C, each step's end map, fused into the body's last layer.  The
+tail builds the deepest body once: a step at level s runs its first layer
+and saw levels 1..s, then the body's own end (Richardson) or C times it
+(cg): arithmetic holds saw stage t's hat channels at scale 4^-t, exact by
+ReLU's positive homogeneity while they stay normal doubles (they round by a
+few 2^-1074 only where |u| < 2^(s+1) 2^-1022), so one end serves every
+level, and the m steps share every layer but cg's fused ones.  Both
+networks take the concatenation (A^v, r) of matrix values and right-hand
+side as input and approximate A^{-1} r to the configured accuracy.
 
 Each matvec is built at an accuracy for inputs of norm at most a bound; a
 looser accuracy or a smaller bound means fewer sawtooth stages.  Both come
@@ -36,13 +37,17 @@ Lemma (Richardson).  The m steps map (v, c) to (B v, v + c) from
 v_0 = omega r, c_0 = 0, and the output reads x = c + v = sum_{k<=m} v_k.
 validate_against gives c_sc <= (1 + kappa)/2, so ||v_0|| = omega ||r|| <=
 2 c_sc / (1 + kappa) <= 1, and spec(B) lies in [-rho, rho], rho = rho_1 < 1.
-Exactly, x = (I - B^(m+1)) A^{-1} r, off by at most rho^(m+1) c_sc.  The
-error e_j of matvec j < m reaches x as P_{m-1-j}(B) e_j with
-P_i(B) = sum_{l<=i} B^l, and ||P_i(B)|| <= min(i + 1, 1/(1 - rho)) =
-min(i + 1, (1 + kappa)/2).  So
-delta = (eps - rho^(m+1) c_sc) / sum_{i=1..m} min(i, (1 + kappa)/2) meets
-eps.  The matvec input v_k is off by at most k delta, so z = 1 + m delta.
-Every matvec shares this delta and z, so the m steps are one network.
+Exactly, x = (I - B^(m+1)) A^{-1} r, off by at most rho^(m+1) c_sc, so the
+matvecs may spend budget = eps - rho^(m+1) c_sc.  The error e_j of matvec
+j < m reaches x as P_{m-1-j}(B) e_j with P_i(B) = sum_{l<=i} B^l, and
+||P_i(B)|| <= min(i + 1, 1/(1 - rho)) = min(i + 1, (1 + kappa)/2).  If
+sum_j min(m - j, (1 + kappa)/2) ||e_j|| <= budget, x meets eps, and as each
+weight is at least 1 the errors add to at most budget: every computed v_k
+has norm at most g = 2 c_sc / (1 + kappa) + budget, whatever the schedule.
+The state holds v / g and c / g, so every matvec reads a norm at most 1 and
+at level s_j errs by at most E(s_j) = E(1) 4^(1 - s_j) in v_{j+1} / g.  So
+||e_j|| <= g E(s_j), and the levels must meet
+sum_j g min(m - j, (1 + kappa)/2) E(s_j) <= budget.
 
 Lemma (cg).  With normalized coefficients c_j, b_k = sum_{j>=k} c_j
 U_{j-k}(B) rhat and x = final_scale b_0 = p(A) r, whose residual
@@ -64,10 +69,14 @@ and the combination writes b_k / Z_k = (c_k / Z_k) rhat +
 (Z_{k+1} / Z_k) 2 B (b_{k+1} / Z_{k+1}) - (Z_{k+2} / Z_k) (b_{k+2} / Z_{k+2}).
 At level s_k the matvec errs by at most E(s_k) = E(1) 4^(1 - s_k) in
 b_{k+1} / Z_{k+1}, so ||e_k|| <= Z_{k+1} E(s_k), and the levels must meet
-sum_k |final_scale| (k + 1) Z_{k+1} E(s_k) <= budget.  _greedy_levels picks
-them: each term at most budget / m to start, then stages taken off while
-the budget allows, the smallest addition first.  The metadata records the
-levels, and delta = E(max s_k) and z = 1, the deepest body's.
+sum_k |final_scale| (k + 1) Z_{k+1} E(s_k) <= budget.
+
+Both lemmas end in sum_k w_k E(s_k) <= budget over weights w_k, with E the
+certified error of a normalized matvec, so one rule picks the levels:
+_greedy_levels starts where each term is at most budget / m, then takes
+stages off while the budget allows, the smallest addition first.  The
+metadata records the levels in the order the steps run, and delta =
+E(max s_k) and z = 1, the deepest body's.
 """
 
 from __future__ import annotations
@@ -250,15 +259,19 @@ def _step_body(pattern: SparsityPattern, mv: ReluNetwork, carry, carry_cols):
     return parallelize_shared(members, maps, eta + len(carry_cols))
 
 
+def _richardson_body(pattern: SparsityPattern, mv: ReluNetwork) -> ReluNetwork:
+    """Step body with output blocks (B^v, mv(B^v, v), v + c) on the state (B^v, v, c)."""
+    n, eta = pattern.n, pattern.eta
+    return _step_body(pattern, mv, sp.hstack([sp.identity(n)] * 2), range(eta, eta + 2 * n))
+
+
 def richardson_step_net(pattern: SparsityPattern, delta: float, z: float) -> ReluNetwork:
     """One iteration map (A^v, r, c) -> (A^v, A r, r + c) on eta + 2n channels.
 
     The matrix block and r + c are carried by exact identity channels, and
     A r by a matvec at accuracy delta for ||A||_2 <= 1, ||r||_2 <= z.
     """
-    n, eta = pattern.n, pattern.eta
-    carry = sp.hstack([sp.identity(n)] * 2)
-    return _step_body(pattern, sparse_matvec_net(pattern, delta, z), carry, range(eta, eta + 2 * n))
+    return _richardson_body(pattern, sparse_matvec_net(pattern, delta, z))
 
 
 def _clenshaw_body(pattern: SparsityPattern, mv: ReluNetwork) -> ReluNetwork:
@@ -268,17 +281,14 @@ def _clenshaw_body(pattern: SparsityPattern, mv: ReluNetwork) -> ReluNetwork:
     return _step_body(pattern, mv, sp.identity(3 * n), np.concatenate([rhat, b_nn, b_next]))
 
 
-def _fused_step(
-    body: ReluNetwork, s: int, pattern: SparsityPattern, w_scale: float, alpha: float, nn_scale: float
-) -> ReluNetwork:
-    """The level-s step: body's first s + 1 layers, then C fused into body's end.
+def _clenshaw_end(pattern: SparsityPattern, w_scale: float, alpha: float, nn_scale: float):
+    """The combination C on the Clenshaw body's blocks [B^v, w, rhat, b_nn, b_next].
 
-    C maps the blocks [B^v, w, rhat, b_nn, b_next] to the next state
-    (B^v, w_scale w + alpha rhat - nn_scale b_nn, b_next, rhat).  Each row of
-    C reads blocks whose end rows occupy disjoint columns, so every product
-    entry is a single float multiplication, and the +/- partners of the
-    matvec's summation still cancel exactly.  The body's layers are shared,
-    not copied.
+    C maps them to the next state (B^v, w_scale w + alpha rhat - nn_scale b_nn,
+    b_next, rhat).  Each row of C reads blocks whose end rows occupy disjoint
+    columns, so every entry of C times the body's end is a single float
+    multiplication, and the +/- partners of the matvec's summation still
+    cancel exactly.
     """
     n, eta = pattern.n, pattern.eta
     p, i = np.arange(eta), np.arange(n)
@@ -287,9 +297,19 @@ def _fused_step(
     vals = np.concatenate(
         [np.ones(eta), np.full(n, w_scale), np.full(n, alpha), np.full(n, -nn_scale), np.ones(2 * n)]
     )
-    C = make_layer((eta + 3 * n, eta + 4 * n), rows, cols, vals).weight
-    end = body.layers[-1]
-    return ReluNetwork(body.layers[: s + 1] + (Layer(C @ end.weight, C @ end.bias),))
+    return make_layer((eta + 3 * n, eta + 4 * n), rows, cols, vals).weight
+
+
+def _fused_step(body: ReluNetwork, s: int, end) -> ReluNetwork:
+    """The level-s step: body's first s + 1 layers, then the end map fused into body's end.
+
+    With end None the step ends in the body's own last layer object.  The
+    body's layers are shared, not copied.
+    """
+    last = body.layers[-1]
+    if end is not None:
+        last = Layer(end @ last.weight, end @ last.bias)
+    return ReluNetwork(body.layers[: s + 1] + (last,))
 
 
 def clenshaw_step_net(
@@ -305,7 +325,7 @@ def clenshaw_step_net(
     if not 0.0 <= alpha_bar <= 1.0:
         raise ValueError("normalized coefficient must lie in [0, 1]")
     body = _clenshaw_body(pattern, sparse_matvec_net(pattern, delta, z, scale=2.0))
-    return _fused_step(body, body.depth - 2, pattern, 1.0, alpha_bar, 1.0)
+    return _fused_step(body, body.depth - 2, _clenshaw_end(pattern, 1.0, alpha_bar, 1.0))
 
 
 def _greedy_levels(unit: np.ndarray, budget: float) -> np.ndarray:
@@ -328,25 +348,6 @@ def _greedy_levels(unit: np.ndarray, budget: float) -> np.ndarray:
         if s[k] > 1:
             heapq.heappush(heap, (4.0 * added, k))
     return s
-
-
-def _clenshaw_schedule(
-    pattern: SparsityPattern, plan: ChebyshevPlan, eps: float, c_sc: float, kappa: float
-):
-    """The cg lemma's state bounds Z_0 .. Z_{m+1} and each matvec's saw level.
-
-    levels[k] is the level of the matvec that makes b_k; the module
-    docstring proves both.
-    """
-    m, scale = plan.degree, abs(plan.final_scale)
-    budget = eps - c_sc * plan.truncation
-    # two cumulative sums over the reversed coefficients give every
-    # S_k = sum_{j>=k} coeffs[j] (j - k + 1) in O(m), as m reaches the
-    # thousands at large kappa; S_m = S_{m+1} = 0
-    sums = np.cumsum(np.cumsum(plan.coeffs[::-1]))[::-1]
-    Z = c_sc / kappa * np.concatenate([sums, [0.0, 0.0]]) + budget / scale
-    unit = scale * np.arange(1, m + 1) * Z[1 : m + 1] * sparse_matvec_error(pattern, 1, 1.0, 2.0)
-    return Z, _greedy_levels(unit, budget).tolist()
 
 
 def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: SolverConfig):
@@ -382,38 +383,50 @@ def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: Solver
         omega = spec.omega
         rho = rho_alpha(spec, 1.0)
         m = m_richardson(eps, c_sc, rho)
-        # the Richardson lemma above: matvec j's error reaches x with weight
-        # min(m - j, (1 + kappa)/2)
-        weight = float(np.minimum(np.arange(1, m + 1), (1.0 + kappa) / 2.0).sum())
-        delta = (eps - rho ** (m + 1) * c_sc) / weight
-        z = 1.0 + m * delta
-        steps = [richardson_step_net(pattern, delta, z)] * m
-        # state (B^v, v, c): B^v = I - omega A, v = omega r, c = 0; x = v + c
-        b_diag, b_scale, r_scale, r_at = 1.0, -omega, omega, eta
-        x_scale, x_at = 1.0, (eta, eta + n)
+        budget = eps - rho ** (m + 1) * c_sc
+        g = 2.0 * c_sc / (1.0 + kappa) + budget
+        # the Richardson lemma above: matvec j errs by g E(s_j) in v_{j+1},
+        # which reaches x with weight min(m - j, (1 + kappa)/2)
+        weight = g * np.minimum(np.arange(m, 0, -1), (1.0 + kappa) / 2.0)
+        body_of, mv_scale, ends = _richardson_body, 1.0, [None] * m
+        # state (B^v, v / g, c / g): B^v = I - omega A, v = omega r, c = 0;
+        # x = g (v / g + c / g)
+        b_diag, b_scale, r_scale, r_at = 1.0, -omega, omega / g, eta
+        x_scale, x_at = g, (eta, eta + n)
         extra = {"omega": omega}
     else:
         m = m_cg(eps, c_sc, rho_alpha(spec, 0.5))
         plan = cheb_plan(m, spec)
-        Z, levels = _clenshaw_schedule(pattern, plan, eps, c_sc, kappa)
-        # the deepest body at its normalized input bound
-        s_max, z = max(levels), 1.0
-        body = _clenshaw_body(pattern, sparse_matvec_net_at(pattern, s_max, z, 2.0))
-        steps = [
-            _fused_step(body, levels[k], pattern, Z[k + 1] / Z[k], plan.coeffs[k] / Z[k], Z[k + 2] / Z[k])
+        scale = abs(plan.final_scale)
+        budget = eps - c_sc * plan.truncation
+        # two cumulative sums over the reversed coefficients give every
+        # S_k = sum_{j>=k} coeffs[j] (j - k + 1) in O(m), as m reaches the
+        # thousands at large kappa; S_m = S_{m+1} = 0
+        sums = np.cumsum(np.cumsum(plan.coeffs[::-1]))[::-1]
+        Z = c_sc / kappa * np.concatenate([sums, [0.0, 0.0]]) + budget / scale
+        # the cg lemma above: the matvec that makes b_k errs by Z_{k+1} E(s_k)
+        # in b_k, which reaches x with weight |final_scale| (k + 1); the
+        # steps run k = m - 1 .. 0
+        weight = (scale * np.arange(1, m + 1) * Z[1 : m + 1])[::-1]
+        body_of, mv_scale = _clenshaw_body, 2.0
+        ends = [
+            _clenshaw_end(pattern, Z[k + 1] / Z[k], plan.coeffs[k] / Z[k], Z[k + 2] / Z[k])
             for k in range(m - 1, -1, -1)
         ]
-        delta = sparse_matvec_error(pattern, s_max, z, 2.0)
         # state (B^v, b_next / Z_{k+1}, b_nextnext / Z_{k+2}, rhat):
         # B^v = sigma0 I - (slope/Lam) A, rhat = r / Lam, Clenshaw carries
         # start at zero; x = final_scale * Z_0 * (b_0 / Z_0)
         slope = 2.0 * kappa / (kappa - 1.0)
         b_diag, b_scale, r_scale, r_at = plan.sigma0, -slope / spec.Lam, 1.0 / spec.Lam, eta + 2 * n
         x_scale, x_at = plan.final_scale * float(Z[0]), (eta,)
-        # each step's level in the order the steps run, as [level, count] runs
-        runs = [[s, len(list(group))] for s, group in itertools.groupby(levels[::-1])]
-        extra = {"sigma0": plan.sigma0, "final_scale": plan.final_scale, "levels": runs}
-    width = steps[0].input_dim
+        extra = {"sigma0": plan.sigma0, "final_scale": plan.final_scale}
+    # the lemmas' shared schedule: every matvec reads a norm at most 1, and
+    # the steps are prefixes of the deepest body, each with its end map
+    levels = _greedy_levels(weight * sparse_matvec_error(pattern, 1, 1.0, mv_scale), budget).tolist()
+    s_max = max(levels)
+    body = body_of(pattern, sparse_matvec_net_at(pattern, s_max, 1.0, mv_scale))
+    steps = [_fused_step(body, s, end) for s, end in zip(levels, ends)]
+    width = body.input_dim
     p = np.arange(eta)
     bias = np.zeros(width)
     bias[pattern.diagonal_positions()] = b_diag
@@ -431,7 +444,10 @@ def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: Solver
         np.full(n * len(x_at), x_scale),
     )
     net = pipeline([ReluNetwork([pre])] + steps + [ReluNetwork([post])])
-    meta.update(m=m, **extra, delta=delta, z=z)
+    # each step's level in the order the steps run, as [level, count] runs
+    runs = [[s, len(list(group))] for s, group in itertools.groupby(levels)]
+    delta = sparse_matvec_error(pattern, s_max, 1.0, mv_scale)
+    meta.update(m=m, **extra, levels=runs, delta=delta, z=1.0)
     net.metadata = meta
     return net
 

@@ -347,10 +347,16 @@ def test_sparse_matvec_net_validation():
     pat = diagonal_pattern(2)
     with pytest.raises(ValueError, match="accuracy"):
         sparse_matvec_net(pat, 0.0)
+    with pytest.raises(ValueError, match="accuracy"):
+        sparse_matvec_net(pat, math.nan)
     with pytest.raises(ValueError, match="rhs bound"):
         sparse_matvec_net(pat, 0.1, 0.5)
-    with pytest.raises(ValueError, match="scale"):
-        sparse_matvec_net(pat, 0.1, 1.0, 0.0)
+    for z in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="rhs bound"):
+            sparse_matvec_net(pat, 0.1, z)
+    for scale in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="scale"):
+            sparse_matvec_net(pat, 0.1, 1.0, scale)
     with pytest.raises(ValueError, match="refinement level"):
         sparse_matvec_net_at(pat, 0)
     with pytest.raises(ValueError, match="rhs bound"):

@@ -202,9 +202,9 @@ def test_eval_and_verify_reject_mistyped_metadata(capsys, tmp_path, key, value):
 
 
 def test_verify_loads_a_deep_network_in_a_4_gb_address_space(capsys, tmp_path):
-    # richardson n=32, eps=0.1: 9,256 positions over 16 distinct layers
+    # richardson n=32, eps=0.1: 7,631 positions over 14 distinct layers
     path, report = build_small_net(capsys, tmp_path, eps="0.1", n="32")
-    assert report["results"]["stats"]["depth"] == 9256
+    assert report["results"]["stats"]["depth"] == 7631
     limit = 4_000_000_000
 
     def limit_address_space():

@@ -20,7 +20,7 @@ from relusolve.solvers import (
     SolverConfig,
     SpectralClass,
     _clenshaw_body,
-    _clenshaw_schedule,
+    _clenshaw_end,
     _fused_step,
     audit_complexity,
     build_cg_net,
@@ -252,11 +252,14 @@ def _step_starts(levels):
     return (1 + np.cumsum([0] + [s + 2 for s in levels])).tolist()
 
 
-def test_cg_build_shares_one_step_body():
+@pytest.mark.parametrize("method", ["richardson", "cg"])
+def test_build_shares_one_step_body(method):
     # every step runs one stack, the deepest body's first layer and saw
-    # levels 1..s, as the same objects; only its fused last layer is its own
-    fem = gen_laplacian(1, 32)
-    net = build_cg_net(fem.pattern, fem.spectral, SolverConfig("cg", 0.02))
+    # levels 1..s, as the same objects; a cg step's fused last layer is its
+    # own, and every Richardson step ends in the body's own last layer
+    fem = gen_laplacian(1, 16 if method == "richardson" else 32)
+    build = build_richardson_net if method == "richardson" else build_cg_net
+    net = build(fem.pattern, fem.spectral, SolverConfig(method, 0.1 if method == "richardson" else 0.02))
     meta = net.metadata
     m, levels = meta["m"], _step_levels(meta)
     s_max = max(levels)
@@ -266,9 +269,18 @@ def test_cg_build_shares_one_step_body():
     deepest = starts[levels.index(s_max)]
     for at, s in zip(starts, levels):
         assert all(net.layers[at + t] is net.layers[deepest + t] for t in range(s + 1))
-    assert len({id(layer) for layer in net.layers}) <= s_max + 2 + m + 2
+    distinct = len({id(layer) for layer in net.layers})
+    if method == "richardson":
+        assert all(net.layers[at + s + 1] is net.layers[deepest + s_max + 1] for at, s in zip(starts, levels))
+        # the rescale and output layers, the merged first layer, the saw
+        # levels and the split end
+        assert distinct <= s_max + 4
+        step = richardson_step_net(fem.pattern, meta["delta"], meta["z"])
+    else:
+        assert distinct <= s_max + 2 + m + 2
+        step = clenshaw_step_net(fem.pattern, 1.0, meta["delta"], meta["z"])
     # the recorded delta and z build the deepest body
-    assert clenshaw_step_net(fem.pattern, 1.0, meta["delta"], meta["z"]).depth == s_max + 2
+    assert step.depth == s_max + 2
 
 
 def _same_layer(a, b) -> bool:
@@ -314,14 +326,40 @@ def test_clenshaw_step_net_is_built_as_the_cg_builder_builds_its_steps():
     assert all(_same_layer(got, want)
                for got, want in zip(step.layers[1 : s_max + 1], net.layers[deepest + 1 : deepest + s_max + 1]))
     body = _clenshaw_body(pattern, sparse_matvec_net_at(pattern, s_max, meta["z"], 2.0))
-    assert _same_layer(step.layers[-1], _fused_step(body, s_max, pattern, 1.0, c, 1.0).layers[-1])
-    # and each shipped step ends in _fused_step's end at its schedule's ratios
-    Z, scheduled = _clenshaw_schedule(pattern, plan, config.epsilon, config.c_sc, spec.kappa)
-    assert scheduled[::-1] == levels
+    end = _clenshaw_end(pattern, 1.0, c, 1.0)
+    assert _same_layer(step.layers[-1], _fused_step(body, s_max, end).layers[-1])
+    # and each shipped step ends in C times the body's end at the lemma's
+    # ratios Z_{k+1} / Z_k, c_k / Z_k and Z_{k+2} / Z_k, to the rounding of
+    # the lemma's own sums
+    _, Z, scheduled, _ = _cg_lemma(pattern, spec, meta)
     for at, k in zip(starts, range(meta["m"] - 1, -1, -1)):
         s = scheduled[k]
-        fused = _fused_step(body, s, pattern, Z[k + 1] / Z[k], plan.coeffs[k] / Z[k], Z[k + 2] / Z[k])
-        assert _same_layer(_split_layer(fused.layers[-1]), net.layers[at + s + 1])
+        end = _clenshaw_end(pattern, Z[k + 1] / Z[k], plan.coeffs[k] / Z[k], Z[k + 2] / Z[k])
+        want = _split_layer(_fused_step(body, s, end).layers[-1])
+        got = net.layers[at + s + 1]
+        assert np.array_equal(got.weight.indptr, want.weight.indptr)
+        assert np.array_equal(got.weight.indices, want.weight.indices)
+        assert np.allclose(got.weight.data, want.weight.data, rtol=1e-12, atol=0.0)
+        assert np.allclose(got.bias, want.bias, rtol=1e-12, atol=0.0)
+
+
+def test_richardson_step_net_is_the_deepest_step_the_builder_ships():
+    # the acceptance gate's step, built from the recorded delta and z, is the
+    # deepest step inside the net byte for byte: its first layer as pipeline
+    # reads it through pair merges, its saw levels, and its last layer as
+    # pipeline splits it
+    fem = gen_laplacian(1, 16)
+    net = build_richardson_net(fem.pattern, fem.spectral, SolverConfig("richardson", 0.1))
+    meta = net.metadata
+    levels = _step_levels(meta)
+    s_max = max(levels)
+    deepest = _step_starts(levels)[levels.index(s_max)]
+    step = richardson_step_net(fem.pattern, meta["delta"], meta["z"])
+    assert step.depth == s_max + 2
+    assert _same_layer(_merge_first(step.layers[0]), net.layers[deepest])
+    assert all(_same_layer(got, want)
+               for got, want in zip(step.layers[1 : s_max + 1], net.layers[deepest + 1 : deepest + s_max + 1]))
+    assert _same_layer(_split_layer(step.layers[-1]), net.layers[deepest + s_max + 1])
 
 
 def _bound_cases():
@@ -341,10 +379,8 @@ BOUND_CASES = {label: case for label, *case in _bound_cases()}
 @pytest.mark.parametrize("label", sorted(BOUND_CASES))
 def test_matvec_input_stays_within_z_at_maximal_scale(label, method):
     # c_sc at its admissible maximum and +-extreme eigenvectors of A as rhs;
-    # Richardson's state is stepped with the builder's own delta and z, and
-    # before each step the matvec input v must be within z; cg's built net
-    # is stepped along its recorded levels, and each matvec input
-    # b_next / Z_{k+1} must be within 1
+    # the built net is stepped along its recorded levels, and each matvec
+    # input, Richardson's v / g and cg's b_next / Z_{k+1}, must be within 1
     pattern, A, spec = BOUND_CASES[label]
     n, eta = pattern.n, pattern.eta
     kappa, eps = spec.kappa, 0.1
@@ -352,7 +388,7 @@ def test_matvec_input_stays_within_z_at_maximal_scale(label, method):
     build = build_richardson_net if method == "richardson" else build_cg_net
     net = build(pattern, spec, SolverConfig(method, eps, c_sc))
     meta = net.metadata
-    m, delta, z = meta["m"], meta["delta"], meta["z"]
+    m = meta["m"]
     _, V = np.linalg.eigh(A.to_dense())
     rhs = c_sc * spec.lam * np.column_stack([V[:, 0], -V[:, 0], V[:, -1], -V[:, -1]])
     diag = pattern.diagonal_positions()
@@ -361,26 +397,42 @@ def test_matvec_input_stays_within_z_at_maximal_scale(label, method):
         rows = state[eta + block * n : eta + (block + 1) * n]
         return float(np.linalg.norm(rows - exact, axis=0).max())
 
+    # the net runs segment by segment: the rescale layer, each step's s + 2
+    # layers and the output layer; a segment's last layer emits every state
+    # value as a (+, -) pair
+    starts = _step_starts(_step_levels(meta))
+    inputs = np.vstack([np.repeat(A.values[:, None], 4, axis=1), rhs])
+    out = evaluate(ReluNetwork(net.layers[:1]), inputs)
     if method == "richardson":
-        omega = meta["omega"]
-        b_vals = (-omega) * A.values
+        _, g, _, errors = _richardson_lemma(pattern, spec, meta)
+        weights = np.minimum(np.arange(m, 0, -1), (1.0 + kappa) / 2.0)
+        # in units of g: v_{k+1} is off by at most the errors E(s_j) of the
+        # matvecs so far, and c_{k+1} = sum_{l<=k} v_l by the sum of its
+        # terms' bounds
+        reach_v = np.cumsum(errors) / g
+        reach_c = np.concatenate([[0.0], np.cumsum(reach_v)])
+        # the exact iteration starts from the rescale's B^v = I - omega A and
+        # v_0 / g = (omega / g) r
+        first = out[0::2]
+        b_vals = (-meta["omega"]) * A.values
         b_vals[diag] += 1.0
-        step = richardson_step_net(pattern, delta, z)
-        v, c = omega * rhs, np.zeros_like(rhs)
-        state = np.vstack([np.repeat(b_vals[:, None], 4, axis=1), v, c])
+        assert np.array_equal(first[:eta, 0], b_vals)
         B = SparseMatrix(pattern, b_vals).to_dense()
-        # matvec j's error reaches the carry after step k through sum_{i<=k-j} B^i
-        weights = np.minimum(np.arange(m + 1), (1.0 + kappa) / 2.0)
-        for k in range(m):
-            assert float(np.linalg.norm(state[eta : eta + n], axis=0).max()) <= z
-            state = evaluate(step, state)
+        v, c = first[eta : eta + n], np.zeros_like(rhs)
+        assert np.allclose(g * v, meta["omega"] * rhs, rtol=1e-14, atol=1e-16)
+        for k, (at, end) in enumerate(zip(starts, starts[1:])):
+            before = out[0::2]
+            assert float(np.linalg.norm(before[eta : eta + n], axis=0).max()) <= 1.0
+            out = evaluate(ReluNetwork(net.layers[at:end]), np.maximum(out, 0.0))
+            state = out[0::2]
             v, c = B @ v, v + c
-            # each matvec adds at most delta to v; the exact carry sums v's errors
-            assert gap(state, 0, v) <= (k + 1) * delta
-            assert gap(state, 1, c) <= weights[: k + 1].sum() * delta
-        # the output reads x = c + v, off by at most the lemma's whole budget
-        x = state[eta : eta + n] + state[eta + n :]
-        assert float(np.linalg.norm(x - (v + c), axis=0).max()) <= weights.sum() * delta
+            assert gap(state, 0, v) <= reach_v[k]
+            assert gap(state, 1, c) <= reach_c[k]
+        # the output reads x = g (v / g + c / g), off by at most the lemma's
+        # weighted sum of the errors
+        x = evaluate(ReluNetwork(net.layers[starts[-1] :]), np.maximum(out, 0.0))
+        x_gap = float(np.linalg.norm(x - g * (v + c), axis=0).max())
+        assert x_gap <= float(weights @ errors) * (1.0 + 1e-9)
     else:
         plan = cheb_plan(m, spec)
         _, Z, _, errors = _cg_lemma(pattern, spec, meta)
@@ -391,12 +443,6 @@ def test_matvec_input_stays_within_z_at_maximal_scale(label, method):
         B = SparseMatrix(pattern, b_vals).to_dense()
         rhat = (1.0 / spec.Lam) * rhs
         b_next, b_nn = np.zeros_like(rhs), np.zeros_like(rhs)
-        # the net runs segment by segment: the rescale layer, each step's
-        # s + 2 layers and the output layer; a segment's last layer emits
-        # every state value as a (+, -) pair
-        starts = _step_starts(_step_levels(meta))
-        inputs = np.vstack([np.repeat(A.values[:, None], 4, axis=1), rhs])
-        out = evaluate(ReluNetwork(net.layers[:1]), inputs)
         for k, at, end in zip(range(m - 1, -1, -1), starts, starts[1:]):
             before = out[0::2]
             assert float(np.linalg.norm(before[eta : eta + n], axis=0).max()) <= 1.0
@@ -409,6 +455,22 @@ def test_matvec_input_stays_within_z_at_maximal_scale(label, method):
         x = evaluate(ReluNetwork(net.layers[starts[-1] :]), np.maximum(out, 0.0))
         x_gap = float(np.linalg.norm(x - meta["final_scale"] * b_next, axis=0).max())
         assert x_gap <= abs(meta["final_scale"]) * reach[0] * (1.0 + 1e-9)
+
+
+def _richardson_lemma(pattern, spec, meta):
+    """The Richardson lemma recomputed from a build's metadata.
+
+    Returns the truncation, the state scale g, levels[j] (the level of
+    matvec j, in the order the steps run) and errors[j] = g E(s_j), that
+    matvec's error bound in v_{j+1}, with E the certified error of a
+    normalized matvec.
+    """
+    m, eps, c_sc, kappa = meta["m"], meta["epsilon"], meta["c_sc"], meta["kappa"]
+    truncation = ((kappa - 1.0) / (kappa + 1.0)) ** (m + 1) * c_sc
+    g = 2.0 * c_sc / (1.0 + kappa) + (eps - truncation)
+    levels = _step_levels(meta)
+    errors = np.array([g * sparse_matvec_error(pattern, s, 1.0, 1.0) for s in levels])
+    return truncation, g, levels, errors
 
 
 def _cg_lemma(pattern, spec, meta):
@@ -442,50 +504,53 @@ def _budget_cases():
 def test_truncation_plus_arithmetic_budget_stays_within_eps(method):
     # the solvers lemmas, recomputed from each build's metadata: the truncation
     # plus every matvec's error times the weight it reaches x with is at
-    # most eps; Richardson's matvecs share one delta, cg's each have a level
+    # most eps, and the greedy schedule took off every stage it could
     build = build_richardson_net if method == "richardson" else build_cg_net
     for pattern, spec in _budget_cases():
         c_max = (1.0 + spec.kappa) / 2.0 if method == "richardson" else spec.kappa
         for eps in (0.5, 0.1, 0.02):
             for c_sc in (1.0, c_max):
                 meta = build(pattern, spec, SolverConfig(method, eps, c_sc)).metadata
-                m, delta, kappa = meta["m"], meta["delta"], meta["kappa"]
-                assert delta > 0.0
+                m, kappa = meta["m"], meta["kappa"]
+                assert meta["delta"] > 0.0 and meta["z"] == 1.0
                 if method == "richardson":
-                    rho = (kappa - 1.0) / (kappa + 1.0)
-                    truncation = rho ** (m + 1) * c_sc
-                    weight = sum(min(i, (1.0 + kappa) / 2.0) for i in range(1, m + 1))
-                    terms = [delta * weight]
+                    truncation, _, levels, errors = _richardson_lemma(pattern, spec, meta)
+                    terms = [min(m - j, (1.0 + kappa) / 2.0) * errors[j] for j in range(m)]
                 else:
                     truncation, _, levels, errors = _cg_lemma(pattern, spec, meta)
                     terms = [abs(meta["final_scale"]) * (k + 1) * errors[k] for k in range(m)]
+                assert len(levels) == m
+                assert meta["delta"] == sparse_matvec_error(
+                    pattern, max(levels), 1.0, 1.0 if method == "richardson" else 2.0
+                )
                 # the slack covers the rounding of the two sides' arithmetic
                 spent = truncation + sum(terms)
                 assert spent <= eps * (1.0 + 1e-9)
-                if method == "cg":
-                    # the schedule stopped: a stage fewer on any matvec would
-                    # quadruple its term and overspend
-                    assert all(
-                        spent + 3.0 * term > eps * (1.0 - 1e-9)
-                        for term, s in zip(terms, levels)
-                        if s > 1
-                    )
+                # the schedule stopped: a stage fewer on any matvec would
+                # quadruple its term and overspend
+                assert all(
+                    spent + 3.0 * term > eps * (1.0 - 1e-9)
+                    for term, s in zip(terms, levels)
+                    if s > 1
+                )
 
 
 def test_matvec_input_bound_never_exceeds_the_state_bound():
-    # criterion 04's configurations, against the whole-state bounds m + 3 and
-    # 3 m^2; cg's normalized matvecs read z = 1, and its state bounds Z_k
-    # sit between the lemma's (c_sc/kappa) S_k and 3 m^2
+    # criterion 04's configurations: both methods' matvecs read z = 1;
+    # Richardson's state scale g sits between the lemma's 2 c_sc / (1 + kappa)
+    # and 1 + eps, and cg's state bounds Z_k between (c_sc/kappa) S_k and 3 m^2
     for n in (8, 16, 32):
         fem = gen_laplacian(1, n)
         spec = fem.spectral
         for eps in (0.5, 0.1, 0.02):
             meta = build_richardson_net(fem.pattern, spec, SolverConfig("richardson", eps)).metadata
-            assert 1.0 <= meta["z"] <= meta["m"] + 3
+            assert meta["z"] == 1.0
+            _, g, _, _ = _richardson_lemma(fem.pattern, spec, meta)
+            assert 2.0 / (1.0 + spec.kappa) < g <= 1.0 + eps
             meta = build_cg_net(fem.pattern, spec, SolverConfig("cg", eps)).metadata
             m, plan = meta["m"], cheb_plan(meta["m"], spec)
             assert meta["z"] == 1.0
-            Z, _ = _clenshaw_schedule(fem.pattern, plan, eps, 1.0, spec.kappa)
+            _, Z, _, _ = _cg_lemma(fem.pattern, spec, meta)
             S = [sum(plan.coeffs[j] * (j - k + 1) for j in range(k, m)) for k in range(m + 2)]
             assert len(Z) == m + 2
             assert all(S_k / spec.kappa <= Z_k <= 3 * m * m for S_k, Z_k in zip(S, Z))
