@@ -16,12 +16,12 @@ recombined with a (+1, -1) pair.  Keeping the pair adjacent matters: CSR
 products accumulate in ascending column order, which makes the recombination
 bit-exact and lets downstream constructions cancel paired terms exactly.
 
-Every junction is a Kronecker product with one of two pair maps, SPLIT =
-[[1], [-1]] and MERGE = [[1, -1]]: kron(W, SPLIT) emits each row of W as a
-(+, -) pair (the bias as kron(b, [1, -1])), kron(W, MERGE) reads each
-column of W from a pair, and kron(I_k, SPLIT) and kron(I_k, MERGE) carry
-and recombine k values.  Entries are single products with +-1, so every
-weight is copied exactly.
+Every junction is the Kronecker product of a layer with one of two pair
+maps, SPLIT = [[1], [-1]] and MERGE = [[1, -1]]: kron(W, SPLIT) emits each
+row of W as a (+, -) pair (the bias as kron(b, [1, -1])), written straight
+from W's CSR arrays, kron(W, MERGE) reads each column of W from a pair,
+and kron(I_k, SPLIT) and kron(I_k, MERGE) carry and recombine k values.
+Entries are single products with +-1, so every weight is copied exactly.
 """
 
 from __future__ import annotations
@@ -46,8 +46,23 @@ MERGE = sp.csr_matrix([[1.0, -1.0]])
 
 
 def _split_layer(layer: Layer) -> Layer:
-    """Duplicate a layer's rows as interleaved (+, -) pairs."""
-    return Layer(sp.kron(layer.weight, SPLIT), np.kron(layer.bias, [1.0, -1.0]))
+    """Duplicate a layer's rows as interleaved (+, -) pairs, from W's CSR arrays.
+
+    Row 2i holds +W_i and row 2i + 1 holds -W_i, so entry k of row i lands
+    at k + indptr[i] and, negated, count_i places later.
+    """
+    w = layer.weight
+    counts = np.diff(w.indptr)
+    row_of = np.repeat(np.arange(layer.rows), counts)
+    plus = np.arange(w.nnz) + w.indptr[row_of]
+    minus = plus + counts[row_of]
+    indices = np.empty(2 * w.nnz, dtype=w.indices.dtype)
+    data = np.empty(2 * w.nnz)
+    indices[plus] = indices[minus] = w.indices
+    data[plus], data[minus] = w.data, -w.data
+    indptr = np.concatenate([[0], np.cumsum(np.repeat(counts, 2))])
+    weight = sp.csr_matrix((data, indices, indptr), shape=(2 * layer.rows, layer.cols))
+    return Layer(weight, np.kron(layer.bias, [1.0, -1.0]))
 
 
 def _merge_first(layer: Layer) -> Layer:

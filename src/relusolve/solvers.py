@@ -8,10 +8,10 @@ pattern and r_scale r at state offset r_at; the output reads x_scale times
 the sum of the n-blocks at the offsets x_at.  Each method's branch sets only
 those numbers, m, the matvec budget, each matvec's error weight in the order
 the steps run, its step body and end maps, and its metadata extras:
-Richardson's B^v = I - omega A, r_scale = omega / g and x = g (c/g + v/g);
-cg's B^v = sigma0 I - (slope/Lam) A, r_scale = 1/Lam and
-x = final_scale Z_0 (b_0 / Z_0).  The rest is one tail: the levels, the body
-and the steps.
+Richardson's B^v = I - omega A, r_scale = omega / Z_0 and
+x = Z_{m-1} (c/Z_{m-1} + v/Z_{m-1}); cg's B^v = sigma0 I - (slope/Lam) A,
+r_scale = 1/Lam and x = final_scale Z_0 (b_0 / Z_0).  The rest is one tail:
+the levels, the body and the steps.
 
 Both steps share one body: identity channels on the matrix values, a
 matvec, and an exact affine carry beside them, each carried to the matvec's
@@ -21,13 +21,15 @@ recurrence b_k = alpha_k r + 2 B b_next - b_nextnext against the Chebyshev
 coefficients of the optimal solver polynomial, with identity carries and a
 combination C, each step's end map, fused into the body's last layer.  The
 tail builds the deepest body once: a step at level s runs its first layer
-and saw levels 1..s, then the body's own end (Richardson) or C times it
-(cg): arithmetic holds saw stage t's hat channels at scale 4^-t, exact by
-ReLU's positive homogeneity while they stay normal doubles (they round by a
-few 2^-1074 only where |u| < 2^(s+1) 2^-1022), so one end serves every
-level, and the m steps share every layer but cg's fused ones.  Both
-networks take the concatenation (A^v, r) of matrix values and right-hand
-side as input and approximate A^{-1} r to the configured accuracy.
+and saw levels 1..s, then the body's own end or its end map times it:
+arithmetic holds saw stage t's hat channels at scale 4^-t, exact by ReLU's
+positive homogeneity while they stay normal doubles (they round by a few
+2^-1074 only where |u| < 2^(s+1) 2^-1022), so one end serves every level.
+Each distinct end map is fused once, so the m steps share every layer but
+their ends: a Richardson end scales the v and c rows by a power of two, one
+layer per ratio, and every cg end is its own.  Both networks take the
+concatenation (A^v, r) of matrix values and right-hand side as input and
+approximate A^{-1} r to the configured accuracy.
 
 Each matvec is built at an accuracy for inputs of norm at most a bound; a
 looser accuracy or a smaller bound means fewer sawtooth stages.  Both come
@@ -41,13 +43,21 @@ Exactly, x = (I - B^(m+1)) A^{-1} r, off by at most rho^(m+1) c_sc, so the
 matvecs may spend budget = eps - rho^(m+1) c_sc.  The error e_j of matvec
 j < m reaches x as P_{m-1-j}(B) e_j with P_i(B) = sum_{l<=i} B^l, and
 ||P_i(B)|| <= min(i + 1, 1/(1 - rho)) = min(i + 1, (1 + kappa)/2).  If
-sum_j min(m - j, (1 + kappa)/2) ||e_j|| <= budget, x meets eps, and as each
-weight is at least 1 the errors add to at most budget: every computed v_k
-has norm at most g = 2 c_sc / (1 + kappa) + budget, whatever the schedule.
-The state holds v / g and c / g, so every matvec reads a norm at most 1 and
-at level s_j errs by at most E(s_j) = E(1) 4^(1 - s_j) in v_{j+1} / g.  So
-||e_j|| <= g E(s_j), and the levels must meet
-sum_j g min(m - j, (1 + kappa)/2) E(s_j) <= budget.
+sum_j min(m - j, (1 + kappa)/2) ||e_j|| <= budget, x meets eps, and as
+each error before step j has weight at least K_j = min(m - j + 1,
+(1 + kappa)/2), those errors add to at most budget / K_j, whatever the
+schedule.  So the computed v_j = B^j v_0 + sum_{i<j} B^(j-1-i) e_i has norm
+at most 2 c_sc rho^j / (1 + kappa) + budget / K_j, in closed form, and at
+most Z_j, that bound rounded up to a power of two.  Step j reads the state
+(v_j / Z_j, c_j / Z_j): its matvec reads a norm at most 1, and at level s_j
+errs by at most E(s_j) = E(1) 4^(1 - s_j) in v_{j+1} / Z_j, so
+||e_j|| <= Z_j E(s_j), and the levels must meet
+sum_j Z_j min(m - j, (1 + kappa)/2) E(s_j) <= budget.  The step's end map
+multiplies the v and c rows by r_j = Z_j / Z_{j+1} (the last step keeps
+Z_{m-1}), a power of two and so exact on normal doubles.  From one step to
+the next the decay term shrinks by rho and the drift term budget / K_j
+grows by at most 3/2, so r_j is 1/2, 1 or 2 whenever rho >= 1/2
+(kappa >= 3).
 
 Lemma (cg).  With normalized coefficients c_j, b_k = sum_{j>=k} c_j
 U_{j-k}(B) rhat and x = final_scale b_0 = p(A) r, whose residual
@@ -110,6 +120,11 @@ __all__ = [
 
 METHODS = ("richardson", "cg")
 
+# the smallest accuracy a build accepts: a net's float64 rounding alone errs
+# by about 1e-14 on a unit-scale solution, so a smaller eps cannot be met
+# and only builds ever deeper nets that fail verify
+EPS_MIN = 1e-12
+
 
 @dataclass(frozen=True)
 class SpectralClass:
@@ -152,8 +167,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
+        if not EPS_MIN <= self.epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in [{EPS_MIN:g}, 1)")
         if not self.c_sc >= 1.0:
             raise ValueError("c_sc must be at least 1")
 
@@ -384,15 +399,27 @@ def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: Solver
         rho = rho_alpha(spec, 1.0)
         m = m_richardson(eps, c_sc, rho)
         budget = eps - rho ** (m + 1) * c_sc
-        g = 2.0 * c_sc / (1.0 + kappa) + budget
-        # the Richardson lemma above: matvec j errs by g E(s_j) in v_{j+1},
-        # which reaches x with weight min(m - j, (1 + kappa)/2)
-        weight = g * np.minimum(np.arange(m, 0, -1), (1.0 + kappa) / 2.0)
-        body_of, mv_scale, ends = _richardson_body, 1.0, [None] * m
-        # state (B^v, v / g, c / g): B^v = I - omega A, v = omega r, c = 0;
-        # x = g (v / g + c / g)
-        b_diag, b_scale, r_scale, r_at = 1.0, -omega, omega / g, eta
-        x_scale, x_at = g, (eta, eta + n)
+        # the Richardson lemma above: Z_j is the power of two at or above
+        # the decay 2 c_sc rho^j / (1 + kappa) plus the drift budget / K_j;
+        # matvec j errs by Z_j E(s_j) in v_{j+1}, which reaches x with
+        # weight min(m - j, (1 + kappa)/2)
+        j = np.arange(m)
+        K = np.minimum(m - j + 1, (1.0 + kappa) / 2.0)
+        mant, exp = np.frexp(2.0 * c_sc / (1.0 + kappa) * rho**j + budget / K)
+        Z = np.ldexp(1.0, exp - (mant == 0.5))
+        weight = Z * np.minimum(m - j, (1.0 + kappa) / 2.0)
+        # step j ends at scale Z_{j+1}, the last at its own: one end map per
+        # distinct ratio but 1, the v and c rows times the ratio
+        ratios = (Z / np.append(Z[1:], Z[-1])).tolist()
+        scaled = {
+            r: sp.diags(np.concatenate([np.ones(eta), np.full(2 * n, r)]))
+            for r in set(ratios) - {1.0}
+        }
+        body_of, mv_scale, ends = _richardson_body, 1.0, [scaled.get(r) for r in ratios]
+        # state (B^v, v_j / Z_j, c_j / Z_j): B^v = I - omega A, v_0 = omega r,
+        # c_0 = 0; x = Z_{m-1} (v_m / Z_{m-1} + c_m / Z_{m-1})
+        b_diag, b_scale, r_scale, r_at = 1.0, -omega, omega / Z[0], eta
+        x_scale, x_at = float(Z[-1]), (eta, eta + n)
         extra = {"omega": omega}
     else:
         m = m_cg(eps, c_sc, rho_alpha(spec, 0.5))
@@ -425,7 +452,13 @@ def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: Solver
     levels = _greedy_levels(weight * sparse_matvec_error(pattern, 1, 1.0, mv_scale), budget).tolist()
     s_max = max(levels)
     body = body_of(pattern, sparse_matvec_net_at(pattern, s_max, 1.0, mv_scale))
-    steps = [_fused_step(body, s, end) for s, end in zip(levels, ends)]
+    # each distinct end map is fused once, into the deepest step; the steps
+    # are prefixes of their end's deepest step, so steps with one end share it
+    deepest = {}
+    for end in ends:
+        if id(end) not in deepest:
+            deepest[id(end)] = _fused_step(body, s_max, end)
+    steps = [_fused_step(deepest[id(end)], s, None) for s, end in zip(levels, ends)]
     width = body.input_dim
     p = np.arange(eta)
     bias = np.zeros(width)

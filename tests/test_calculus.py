@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import random_affine, weights_of
 from relusolve.calculus import (
+    SPLIT,
+    _split_layer,
     affine_net,
     identity_net,
     parallelize,
@@ -18,7 +20,7 @@ from relusolve.calculus import (
     scale_add_net,
 )
 from relusolve.arithmetic import mult_net, scalar_product_net, sparse_matvec_net, square_net
-from relusolve.network import ReluNetwork, evaluate, network_to_dict, stats
+from relusolve.network import Layer, ReluNetwork, evaluate, network_to_dict, stats
 from relusolve.problems import gen_laplacian
 
 
@@ -184,6 +186,21 @@ def test_parallelize_pads_a_member_for_its_last_layer_plus_two_k_per_layer():
             x = rng.normal(size=n_in) * 3.0
             want = np.concatenate([evaluate(m, x[cmap]) for m, cmap in zip(members, maps)])
             assert np.array_equal(evaluate(net, x), want)
+
+
+def test_split_layer_is_the_kronecker_product_with_split_byte_for_byte():
+    # written from the CSR arrays, the split equals kron(W, SPLIT) with
+    # kron(b, [1, -1]) in every array and dtype, empty rows included
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        rows, cols = (int(k) for k in rng.integers(1, 12, size=2))
+        weight = sp.random(rows, cols, density=rng.uniform(0.0, 1.0), random_state=rng, format="csr")
+        layer = Layer(weight, rng.normal(size=rows) * (rng.uniform(size=rows) < 0.5))
+        got, want = _split_layer(layer), Layer(sp.kron(weight, SPLIT), np.kron(layer.bias, [1.0, -1.0]))
+        assert got.weight.shape == want.weight.shape
+        for a, b in zip((got.weight.indptr, got.weight.indices, got.weight.data, got.bias),
+                        (want.weight.indptr, want.weight.indices, want.weight.data, want.bias)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_parallelize_shared_refuses_a_map_that_reorders_a_row():

@@ -202,9 +202,9 @@ def test_eval_and_verify_reject_mistyped_metadata(capsys, tmp_path, key, value):
 
 
 def test_verify_loads_a_deep_network_in_a_4_gb_address_space(capsys, tmp_path):
-    # richardson n=32, eps=0.1: 7,631 positions over 14 distinct layers
+    # richardson n=32, eps=0.1: 6,075 positions over 14 distinct layers
     path, report = build_small_net(capsys, tmp_path, eps="0.1", n="32")
-    assert report["results"]["stats"]["depth"] == 7631
+    assert report["results"]["stats"]["depth"] == 6075
     limit = 4_000_000_000
 
     def limit_address_space():
@@ -541,6 +541,10 @@ def test_exit_codes_for_common_failures(capsys, tmp_path):
         capsys, "build", "--method", "richardson", "--eps", "1.5", "--out", str(tmp_path / "x.json")
     )
     assert rc == 2 and "epsilon" in err
+    rc, out, err = run_cli(
+        capsys, "build", "--method", "cg", "--eps", "1e-300", "--out", str(tmp_path / "x.json")
+    )
+    assert rc == 2 and "epsilon must lie in [1e-12, 1)" in err
     rc, out, err = run_cli(
         capsys, "build", "--method", "cg", "--c-sc", "nan", "--out", str(tmp_path / "x.json")
     )

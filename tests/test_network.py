@@ -373,7 +373,7 @@ def assert_frozen_file(tmp_path, net, digest):
     "method, build, digest",
     [
         pytest.param("richardson", build_richardson_net,
-                     "3037f94fefcfa87fa4f5530463fdbe004ba0423d5320a3d6c73d393beeb9c719",
+                     "f89be782d4a1119b602be29be27ee0ca6584a0130ae56500152fcfc9e9b29461",
                      id="richardson-build_richardson_net"),
         pytest.param("cg", build_cg_net,
                      "03fd8996b6674d6327f4e6904a1077df68f7af6f100b2da459e318027bdad830",
@@ -389,7 +389,7 @@ def test_saved_file_bytes_are_frozen(tmp_path, method, build, digest):
     "method, build, digest",
     [
         pytest.param("richardson", build_richardson_net,
-                     "0dbd01a7c9c0a29136827f249319bd7b6a6b0c982ebd3b11eead5326bee232c9",
+                     "57e6fd18f38694282c36ba2e64582118c56d67345691c49c9c5bb40a125e98ce",
                      id="richardson-build_richardson_net"),
         pytest.param("cg", build_cg_net,
                      "3852db2f980f810a1ad79b8ea65b7fe353665e62a038d5c1aef189cd6782258a",
@@ -430,13 +430,13 @@ def _output_digest(net, fem) -> str:
     "method, build, d, N, digest",
     [
         pytest.param("richardson", build_richardson_net, 1, 4,
-                     "778c50dc6af301d1c33866d26fb48eec919683ec45216eb6213929f143ee8a82",
+                     "ec9bcd57462f96e107d89ab5ae38e7b50cf52ecb632af03cbfd81fe32bc6ad4d",
                      id="richardson-build_richardson_net-1-4"),
         pytest.param("cg", build_cg_net, 1, 4,
                      "c9cfd75225f164ecb6ae33d8234524815fe698f0d80c85534a1bdd9b8e48d560",
                      id="cg-build_cg_net-1-4"),
         pytest.param("richardson", build_richardson_net, 2, 3,
-                     "321a9383c9ce7b902559b6f8d58030a3fa349c8de0c8b59d71b8d8f47534df60",
+                     "54857d39216611a99694b29762a71264456b1b6174757e06873e3b5449679a78",
                      id="richardson-build_richardson_net-2-3"),
         pytest.param("cg", build_cg_net, 2, 3,
                      "ce77c1b558c52144d94caf2fd8548e2356db2a9b894d5fe14b914b94f2ea0de7",

@@ -96,6 +96,23 @@ def test_solver_config_validation():
         SolverConfig("cg", 0.1, math.nan)
 
 
+@pytest.mark.parametrize("method,builder", [("richardson", build_richardson_net), ("cg", build_cg_net)])
+def test_solver_config_accepts_eps_down_to_what_float64_meets(method, builder):
+    # below 1e-12 a net's own rounding (about 1e-14 at unit scale) could
+    # not be told from its error: refused; at 1e-12 the net still meets eps
+    # on the +-extreme eigenvectors
+    for eps in (9.99e-13, 1e-300):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[1e-12, 1\)"):
+            SolverConfig(method, eps)
+    fem = gen_laplacian(1, 8)
+    net = builder(fem.pattern, fem.spectral, SolverConfig(method, 1e-12))
+    A = fem.matrix.to_dense()
+    _, V = np.linalg.eigh(A)
+    rhs = fem.spectral.lam * np.column_stack([V[:, 0], -V[:, 0], V[:, -1], -V[:, -1]])
+    out = evaluate(net, np.vstack([np.repeat(fem.matrix.values[:, None], 4, axis=1), rhs]))
+    assert float(np.linalg.norm(out - np.linalg.solve(A, rhs), axis=0).max()) <= 1e-12
+
+
 def test_solver_config_admissible_scale_ranges():
     spec = SpectralClass(1.0, 2.0)  # kappa = 2
     SolverConfig("richardson", 0.1, 1.5).validate_against(spec)
@@ -256,7 +273,7 @@ def _step_starts(levels):
 def test_build_shares_one_step_body(method):
     # every step runs one stack, the deepest body's first layer and saw
     # levels 1..s, as the same objects; a cg step's fused last layer is its
-    # own, and every Richardson step ends in the body's own last layer
+    # own, and Richardson steps with one end ratio share one last layer
     fem = gen_laplacian(1, 16 if method == "richardson" else 32)
     build = build_richardson_net if method == "richardson" else build_cg_net
     net = build(fem.pattern, fem.spectral, SolverConfig(method, 0.1 if method == "richardson" else 0.02))
@@ -271,10 +288,16 @@ def test_build_shares_one_step_body(method):
         assert all(net.layers[at + t] is net.layers[deepest + t] for t in range(s + 1))
     distinct = len({id(layer) for layer in net.layers})
     if method == "richardson":
-        assert all(net.layers[at + s + 1] is net.layers[deepest + s_max + 1] for at, s in zip(starts, levels))
+        _, Z, _, _ = _richardson_lemma(fem.pattern, fem.spectral, meta)
+        ratios = _richardson_ratios(Z)
+        ends = {}
+        for at, s, r in zip(starts, levels, ratios):
+            ends.setdefault(r, set()).add(id(net.layers[at + s + 1]))
+        assert len(ends) > 1 and all(len(objects) == 1 for objects in ends.values())
+        assert len(set().union(*ends.values())) == len(ends)
         # the rescale and output layers, the merged first layer, the saw
-        # levels and the split end
-        assert distinct <= s_max + 4
+        # levels and the split end, and one split end per ratio but 1
+        assert distinct <= s_max + 4 + len(set(ratios) - {1.0})
         step = richardson_step_net(fem.pattern, meta["delta"], meta["z"])
     else:
         assert distinct <= s_max + 2 + m + 2
@@ -344,22 +367,38 @@ def test_clenshaw_step_net_is_built_as_the_cg_builder_builds_its_steps():
 
 
 def test_richardson_step_net_is_the_deepest_step_the_builder_ships():
-    # the acceptance gate's step, built from the recorded delta and z, is the
-    # deepest step inside the net byte for byte: its first layer as pipeline
-    # reads it through pair merges, its saw levels, and its last layer as
-    # pipeline splits it
+    # the acceptance gate's step, built from the recorded delta and z, is a
+    # deepest step of end ratio 1 inside the net byte for byte: its first
+    # layer as pipeline reads it through pair merges, its saw levels, and
+    # its last layer as pipeline splits it
     fem = gen_laplacian(1, 16)
-    net = build_richardson_net(fem.pattern, fem.spectral, SolverConfig("richardson", 0.1))
+    pattern = fem.pattern
+    net = build_richardson_net(pattern, fem.spectral, SolverConfig("richardson", 0.1))
     meta = net.metadata
     levels = _step_levels(meta)
     s_max = max(levels)
-    deepest = _step_starts(levels)[levels.index(s_max)]
-    step = richardson_step_net(fem.pattern, meta["delta"], meta["z"])
+    starts = _step_starts(levels)
+    _, Z, _, _ = _richardson_lemma(pattern, fem.spectral, meta)
+    ratios = _richardson_ratios(Z)
+    deepest = next(at for at, s, r in zip(starts, levels, ratios) if s == s_max and r == 1.0)
+    step = richardson_step_net(pattern, meta["delta"], meta["z"])
     assert step.depth == s_max + 2
     assert _same_layer(_merge_first(step.layers[0]), net.layers[deepest])
     assert all(_same_layer(got, want)
                for got, want in zip(step.layers[1 : s_max + 1], net.layers[deepest + 1 : deepest + s_max + 1]))
-    assert _same_layer(_split_layer(step.layers[-1]), net.layers[deepest + s_max + 1])
+    end = _split_layer(step.layers[-1])
+    assert _same_layer(end, net.layers[deepest + s_max + 1])
+    # every other step ends in that end with its v and c rows, each a
+    # (+, -) pair, times the step's ratio Z_j / Z_{j+1}
+    assert set(ratios) - {1.0}
+    for at, s, r in zip(starts, levels, ratios):
+        rows = np.repeat(np.concatenate([np.ones(pattern.eta), np.full(2 * pattern.n, r)]), 2)
+        got = net.layers[at + s + 1]
+        assert np.array_equal(got.weight.indptr, end.weight.indptr)
+        assert np.array_equal(got.weight.indices, end.weight.indices)
+        per_entry = np.repeat(rows, np.diff(end.weight.indptr))
+        assert np.array_equal(got.weight.data, end.weight.data * per_entry)
+        assert np.array_equal(got.bias, end.bias * rows)
 
 
 def _bound_cases():
@@ -380,7 +419,7 @@ BOUND_CASES = {label: case for label, *case in _bound_cases()}
 def test_matvec_input_stays_within_z_at_maximal_scale(label, method):
     # c_sc at its admissible maximum and +-extreme eigenvectors of A as rhs;
     # the built net is stepped along its recorded levels, and each matvec
-    # input, Richardson's v / g and cg's b_next / Z_{k+1}, must be within 1
+    # input, Richardson's v_j / Z_j and cg's b_next / Z_{k+1}, must be within 1
     pattern, A, spec = BOUND_CASES[label]
     n, eta = pattern.n, pattern.eta
     kappa, eps = spec.kappa, 0.1
@@ -404,34 +443,37 @@ def test_matvec_input_stays_within_z_at_maximal_scale(label, method):
     inputs = np.vstack([np.repeat(A.values[:, None], 4, axis=1), rhs])
     out = evaluate(ReluNetwork(net.layers[:1]), inputs)
     if method == "richardson":
-        _, g, _, errors = _richardson_lemma(pattern, spec, meta)
+        _, Z, _, errors = _richardson_lemma(pattern, spec, meta)
         weights = np.minimum(np.arange(m, 0, -1), (1.0 + kappa) / 2.0)
-        # in units of g: v_{k+1} is off by at most the errors E(s_j) of the
-        # matvecs so far, and c_{k+1} = sum_{l<=k} v_l by the sum of its
-        # terms' bounds
-        reach_v = np.cumsum(errors) / g
+        # step j ends at scale Z_{j+1}, the last step at its own
+        ends_at = np.append(Z[1:], Z[-1])
+        # v_{k+1} is off by at most the errors Z_j E(s_j) of the matvecs so
+        # far, and c_{k+1} = sum_{l<=k} v_l by the sum of its terms' bounds
+        reach_v = np.cumsum(errors)
         reach_c = np.concatenate([[0.0], np.cumsum(reach_v)])
         # the exact iteration starts from the rescale's B^v = I - omega A and
-        # v_0 / g = (omega / g) r
+        # v_0 / Z_0 = (omega / Z_0) r
         first = out[0::2]
         b_vals = (-meta["omega"]) * A.values
         b_vals[diag] += 1.0
         assert np.array_equal(first[:eta, 0], b_vals)
         B = SparseMatrix(pattern, b_vals).to_dense()
-        v, c = first[eta : eta + n], np.zeros_like(rhs)
-        assert np.allclose(g * v, meta["omega"] * rhs, rtol=1e-14, atol=1e-16)
+        v, c = meta["omega"] * rhs, np.zeros_like(rhs)
+        assert np.allclose(Z[0] * first[eta : eta + n], v, rtol=1e-14, atol=1e-16)
         for k, (at, end) in enumerate(zip(starts, starts[1:])):
             before = out[0::2]
             assert float(np.linalg.norm(before[eta : eta + n], axis=0).max()) <= 1.0
             out = evaluate(ReluNetwork(net.layers[at:end]), np.maximum(out, 0.0))
-            state = out[0::2]
+            # the state's blocks at the step's end scale, read back exactly
+            # as Z is a power of two
+            state = ends_at[k] * out[0::2]
             v, c = B @ v, v + c
             assert gap(state, 0, v) <= reach_v[k]
             assert gap(state, 1, c) <= reach_c[k]
-        # the output reads x = g (v / g + c / g), off by at most the lemma's
-        # weighted sum of the errors
+        # the output reads x = Z_{m-1} (v_m / Z_{m-1} + c_m / Z_{m-1}), off
+        # by at most the lemma's weighted sum of the errors
         x = evaluate(ReluNetwork(net.layers[starts[-1] :]), np.maximum(out, 0.0))
-        x_gap = float(np.linalg.norm(x - g * (v + c), axis=0).max())
+        x_gap = float(np.linalg.norm(x - (v + c), axis=0).max())
         assert x_gap <= float(weights @ errors) * (1.0 + 1e-9)
     else:
         plan = cheb_plan(m, spec)
@@ -460,17 +502,28 @@ def test_matvec_input_stays_within_z_at_maximal_scale(label, method):
 def _richardson_lemma(pattern, spec, meta):
     """The Richardson lemma recomputed from a build's metadata.
 
-    Returns the truncation, the state scale g, levels[j] (the level of
-    matvec j, in the order the steps run) and errors[j] = g E(s_j), that
-    matvec's error bound in v_{j+1}, with E the certified error of a
-    normalized matvec.
+    Returns the truncation, Z_0 .. Z_{m-1} (the power-of-two bound on v_j
+    that matvec j reads v_j at, g0 rho^j plus the errors before j rounded
+    up), levels[j] (the level of matvec j, in the order the steps run) and
+    errors[j] = Z_j E(s_j), that matvec's error bound in v_{j+1}, with E the
+    certified error of a normalized matvec.
     """
     m, eps, c_sc, kappa = meta["m"], meta["epsilon"], meta["c_sc"], meta["kappa"]
-    truncation = ((kappa - 1.0) / (kappa + 1.0)) ** (m + 1) * c_sc
-    g = 2.0 * c_sc / (1.0 + kappa) + (eps - truncation)
+    rho = (kappa - 1.0) / (kappa + 1.0)
+    truncation = rho ** (m + 1) * c_sc
+    Z = []
+    for j in range(m):
+        drift = (eps - truncation) / min(m - j + 1, (1.0 + kappa) / 2.0)
+        mant, exp = math.frexp(2.0 * c_sc / (1.0 + kappa) * rho**j + drift)
+        Z.append(math.ldexp(1.0, exp - (mant == 0.5)))
     levels = _step_levels(meta)
-    errors = np.array([g * sparse_matvec_error(pattern, s, 1.0, 1.0) for s in levels])
-    return truncation, g, levels, errors
+    errors = np.array([Z[j] * sparse_matvec_error(pattern, s, 1.0, 1.0) for j, s in enumerate(levels)])
+    return truncation, np.array(Z), levels, errors
+
+
+def _richardson_ratios(Z):
+    """Each step's end ratio Z_j / Z_{j+1}; the last step keeps its scale."""
+    return (Z / np.append(Z[1:], Z[-1])).tolist()
 
 
 def _cg_lemma(pattern, spec, meta):
@@ -537,16 +590,18 @@ def test_truncation_plus_arithmetic_budget_stays_within_eps(method):
 
 def test_matvec_input_bound_never_exceeds_the_state_bound():
     # criterion 04's configurations: both methods' matvecs read z = 1;
-    # Richardson's state scale g sits between the lemma's 2 c_sc / (1 + kappa)
-    # and 1 + eps, and cg's state bounds Z_k between (c_sc/kappa) S_k and 3 m^2
+    # Richardson's state bounds Z_j sit between the lemma's
+    # g0 rho^j = 2 c_sc rho^j / (1 + kappa) and twice that plus eps, and cg's
+    # state bounds Z_k between (c_sc/kappa) S_k and 3 m^2
     for n in (8, 16, 32):
         fem = gen_laplacian(1, n)
         spec = fem.spectral
         for eps in (0.5, 0.1, 0.02):
             meta = build_richardson_net(fem.pattern, spec, SolverConfig("richardson", eps)).metadata
             assert meta["z"] == 1.0
-            _, g, _, _ = _richardson_lemma(fem.pattern, spec, meta)
-            assert 2.0 / (1.0 + spec.kappa) < g <= 1.0 + eps
+            _, Z, _, _ = _richardson_lemma(fem.pattern, spec, meta)
+            decay = 2.0 / (1.0 + spec.kappa) * rho_alpha(spec, 1.0) ** np.arange(meta["m"])
+            assert np.all(decay < Z) and np.all(Z < 2.0 * (decay + eps))
             meta = build_cg_net(fem.pattern, spec, SolverConfig("cg", eps)).metadata
             m, plan = meta["m"], cheb_plan(meta["m"], spec)
             assert meta["z"] == 1.0
@@ -554,6 +609,25 @@ def test_matvec_input_bound_never_exceeds_the_state_bound():
             S = [sum(plan.coeffs[j] * (j - k + 1) for j in range(k, m)) for k in range(m + 2)]
             assert len(Z) == m + 2
             assert all(S_k / spec.kappa <= Z_k <= 3 * m * m for S_k, Z_k in zip(S, Z))
+
+
+@pytest.mark.parametrize("label", ["random_spd1d", "random_spd2d"])
+def test_richardson_bounds_cover_the_decay_and_the_scheduled_errors(label):
+    # at maximal c_sc, the computed v_j has norm at most g0 rho^j plus the
+    # errors of the matvecs before j, which the schedule the greedy picked
+    # keeps within budget / min(m - j + 1, (1 + kappa)/2); Z_j covers both
+    pattern, _, spec = BOUND_CASES[label]
+    kappa = spec.kappa
+    c_sc = (1.0 + kappa) / 2.0
+    for eps in (0.5, 0.1, 0.02):
+        meta = build_richardson_net(pattern, spec, SolverConfig("richardson", eps, c_sc)).metadata
+        _, Z, _, errors = _richardson_lemma(pattern, spec, meta)
+        decay = 2.0 * c_sc / (1.0 + kappa) * rho_alpha(spec, 1.0) ** np.arange(meta["m"])
+        before = np.concatenate([[0.0], np.cumsum(errors)[:-1]])
+        assert np.all(Z >= decay + before)
+        # each Z_j is a power of two, and steps change scale by at most 2
+        assert np.array_equal(np.frexp(Z)[0], np.full(meta["m"], 0.5))
+        assert set(_richardson_ratios(Z)) <= {0.5, 1.0, 2.0}
 
 
 @pytest.mark.parametrize("method,builder", [("richardson", build_richardson_net), ("cg", build_cg_net)])
