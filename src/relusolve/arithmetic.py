@@ -8,8 +8,9 @@ grid points k 2^(-s), so it lies above it: 0 <= f_s(u) - u^2 <= 2^(-2s-2).
 Products come from the polarization identity x*y = ((x+y)^2 - (x-y)^2)/4
 evaluated with both chains at the same input scale.  Both squares err on the
 same side, so a term w (f_s(|u|) - f_s(|v|)) is off by at most
-|w| 2^(-2s-2), and a net whose terms must meet |w| 2^(-level) takes
-s = ceil(level/2 - 1) stages (_refinement).  The shared scale keeps
+|w| 2^(-2s-2): each stage divides a net's certificate by 4, and saw_levels
+picks every product net's level from its level-1 certificate, the fewest
+stages that fit the error allowed.  The shared scale keeps
 net(0, y) = net(x, 0) = 0 exact: the two chains then carry bitwise-identical
 values, and the summation rows interleave each +coefficient with its -
 partner in adjacent columns so the CSR product (which accumulates in
@@ -54,6 +55,7 @@ its summation layer groups the terms of row i through indptr.
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -66,6 +68,7 @@ __all__ = [
     "SparseMatrix",
     "SparsityPattern",
     "mult_net",
+    "saw_levels",
     "scalar_product_net",
     "sparse_matvec_error",
     "sparse_matvec_net",
@@ -129,9 +132,6 @@ class SparsityPattern:
         """
         return np.lexsort((self.row_of(), self.indices))
 
-    def has_full_diagonal(self) -> bool:
-        return np.count_nonzero(self.indices == self.row_of()) == self.n
-
     def is_symmetric(self) -> bool:
         row_of, t = self.row_of(), self.transpose_positions()
         return np.array_equal(self.indices[t], row_of) and np.array_equal(row_of[t], self.indices)
@@ -194,6 +194,8 @@ def _saw_stage_layers(num_terms: int, s: int, chains: int):
     to n1 / 2 - n2 = g / 4^t before their biases (0, -2^(-2t-1)), and the
     carry to c - 2 n1 + 4 n2 = c - g / 4^(t-1).
     """
+    if s < 1:
+        raise ValueError("refinement level must be at least 1")
     chain = sp.identity(chains, format="csr")
     first = _bank(num_terms, sp.kron([[0.25], [0.25], [1.0]], sp.kron(chain, [[1.0, 1.0]])))
     # rows and columns of one chain's (n1, n2, c); the carry row is the readout
@@ -231,50 +233,86 @@ def _polarized_sum_net(n_in: int, a_cols, b_cols, coefs, weight: float, groups, 
     return ReluNetwork(layers)
 
 
+def _exact(x: float) -> int:
+    """x as an exact count of 2^-1074, the spacing of the smallest doubles."""
+    num, den = float(x).as_integer_ratio()
+    return num << 1075 - den.bit_length()
+
+
+def saw_levels(unit, budget: float) -> np.ndarray:
+    """Levels s_k >= 1 with sum_k unit_k 4^(1 - s_k) <= budget, few in total.
+
+    unit_k is net k's certified error at level 1; each saw stage divides it
+    by 4.  Start at the fewest stages that bring each of the m terms to at
+    most budget / m, then take stages off while the budget allows, always
+    the one that adds the least: at level s a stage taken off adds
+    3 unit_k 4^(1 - s), and the next one from the same net four times that,
+    so no smaller addition is passed over.  A power of 4 scales a double
+    exactly, so the start compares each term itself, not a logarithm, with
+    budget / m, and the sum meets the budget exactly, not just in rounded
+    arithmetic.
+    """
+    unit = np.asarray(unit, dtype=np.float64)
+    if not (0 < budget < math.inf and np.isfinite(unit).all()):
+        raise ValueError("levels need a finite positive accuracy and finite certificates")
+    # the share budget / m rounded down and the spare budget kept exactly:
+    # a share or a spare an ulp too large lets the terms overshoot the budget
+    share = budget / len(unit)
+    if len(unit) * _exact(share) > _exact(budget):
+        share = np.nextafter(share, 0.0)
+    s = np.ones_like(unit, dtype=np.int64)
+    while (over := unit * 4.0 ** (1 - s) > share).any():
+        s += over
+    terms = (unit * 4.0 ** (1 - s)).tolist()
+    spare = _exact(budget) - sum(map(_exact, terms))
+    heap = [(term, k) for k, term in enumerate(terms) if s[k] > 1]
+    heapq.heapify(heap)
+    while heap and 3 * _exact(heap[0][0]) <= spare:
+        term, k = heapq.heappop(heap)
+        spare -= 3 * _exact(term)
+        s[k] -= 1
+        if s[k] > 1:
+            heapq.heappush(heap, (4.0 * term, k))
+    return s
+
+
+def _bound(value: float, name: str) -> float:
+    """value as a float, refused unless it is finite and at least 1."""
+    if not 1 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and at least 1")
+    return float(value)
+
+
 def square_net(s: int, D: float = 1.0) -> ReluNetwork:
     """Approximate x -> x^2 on [-D, D] within D^2 * 2^(-2s-2); exact at 0."""
-    if s < 1:
-        raise ValueError("refinement level must be at least 1")
-    if D < 1:
-        raise ValueError("domain bound must be at least 1")
-    D = float(D)
+    D = _bound(D, "domain bound")
     layers = [Layer(SPLIT / D)]
     layers.extend(_saw_stage_layers(1, s, chains=1))
     layers.append(Layer(D * D * _READOUT))
     return ReluNetwork(layers)
 
 
-def _refinement(level_arg: float) -> int:
-    """Fewest saw stages s >= 1 with 2^(-2s-2) <= 2^(-level_arg)."""
-    return max(1, math.ceil(level_arg / 2.0 - 1.0))
-
-
 def mult_net(eps: float, D: float = 1.0) -> ReluNetwork:
     """Approximate (x, y) -> x*y on [-D, D]^2 within eps; exact zeros."""
     if not 0 < eps < 1:
         raise ValueError("accuracy must lie in (0, 1)")
-    if D < 1:
-        raise ValueError("domain bound must be at least 1")
-    D = float(D)
-    s = _refinement(math.log2(1.0 / eps) + 2.0 * math.log2(D))
-    half = 1.0 / (2.0 * D)
-    return _polarized_sum_net(2, [0], [1], (half, half), D * D, [[1.0]], s)
+    D = _bound(D, "domain bound")
+    # the term's weight is D^2, so level 1 errs by at most D^2 / 16
+    s = saw_levels([D * D / 16.0], eps)[0]
+    return _polarized_sum_net(2, [0], [1], (0.5 / D, 0.5 / D), D * D, [[1.0]], s)
 
 
 def scalar_product_net(k: int, eps: float, z: float = 1.0) -> ReluNetwork:
     """Approximate (y, x) -> y.x for ||x||_2 <= 1, ||y||_2 <= z within eps.
 
-    k parallel product chains at per-term accuracy eps/k; the y side is
-    pre-scaled by 1/z and the exact summation layer multiplies back by z.
+    k parallel product chains of weight z, so level 1 errs by at most
+    k z / 16; the y side is pre-scaled by 1/z and the exact summation layer
+    multiplies back by z.
     """
     if k < 1:
         raise ValueError("length must be positive")
-    if eps <= 0:
-        raise ValueError("accuracy must be positive")
-    if z < 1:
-        raise ValueError("rhs bound must be at least 1")
-    z = float(z)
-    s = _refinement(math.log2(k * z / eps))
+    z = _bound(z, "rhs bound")
+    s = saw_levels([k * z / 16.0], eps)[0]
     terms = np.arange(k)
     return _polarized_sum_net(2 * k, terms, k + terms, (1.0 / (2.0 * z), 0.5), z, np.ones((1, k)), s)
 
@@ -290,6 +328,13 @@ def sparse_matvec_error(
     return math.sqrt(pattern.n) * pattern.chi_max * abs(scale) * z * 4.0 ** (-s - 1)
 
 
+def _matvec_bounds(z: float, scale: float) -> float:
+    """z as a float, refused with scale unless both suit a matvec net."""
+    if not (scale != 0 and math.isfinite(scale)):
+        raise ValueError("scale must be nonzero and finite")
+    return _bound(z, "rhs bound")
+
+
 def sparse_matvec_net_at(
     pattern: SparsityPattern, s: int, z: float = 1.0, scale: float = 1.0
 ) -> ReluNetwork:
@@ -300,12 +345,7 @@ def sparse_matvec_net_at(
     p = (i, j): it reads r_j and A^v_p straight from the net's input and
     sums into row i; rows share one level, so the bank needs no padding.
     """
-    if s < 1:
-        raise ValueError("refinement level must be at least 1")
-    if not 1 <= z < math.inf:
-        raise ValueError("rhs bound must be finite and at least 1")
-    if not (scale != 0 and math.isfinite(scale)):
-        raise ValueError("scale must be nonzero and finite")
+    z = _matvec_bounds(z, scale)
     n, eta = pattern.n, pattern.eta
     positions = np.arange(eta)
     groups = sp.csr_matrix((np.ones(eta), positions, pattern.indptr), shape=(n, eta))
@@ -320,12 +360,9 @@ def sparse_matvec_net(
     """Approximate (A^v, r) -> scale * A r within eps for A in the pattern class.
 
     Admissible inputs: ||A||_2 <= 1 and ||r||_2 <= z.  The net is
-    sparse_matvec_net_at's at the smallest level whose certified error
-    sparse_matvec_error is at most eps.
+    sparse_matvec_net_at's at the level saw_levels picks from its level-1
+    certificate sparse_matvec_error.
     """
-    if not eps > 0:
-        raise ValueError("accuracy must be positive")
-    s = 1
-    while sparse_matvec_error(pattern, s, z, scale) > eps:
-        s += 1
+    z = _matvec_bounds(z, scale)
+    s = saw_levels([sparse_matvec_error(pattern, 1, z, scale)], eps)[0]
     return sparse_matvec_net_at(pattern, s, z, scale)

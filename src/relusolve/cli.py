@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True, help="COO output path")
 
     p_build = subs.add_parser("build", help="build a solver network and save it as .npz")
-    p_build.add_argument("--method", required=True, choices=["richardson", "cg"])
+    p_build.add_argument("--method", required=True, choices=METHODS)
     _add_problem_flags(p_build)
     p_build.add_argument("--eps", type=float, default=0.1, help="target accuracy in [1e-12, 1)")
     p_build.add_argument("--c-sc", type=float, default=1.0, help="rhs scale bound (>= 1)")

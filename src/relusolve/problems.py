@@ -84,8 +84,7 @@ def random_spd(pattern: SparsityPattern, spec: SpectralClass, seed: int) -> Spar
     Gershgorin radius stays below 0.4 (Lam - lam); diagonals are then drawn
     uniformly from the per-row admissible interval.  Deterministic in seed.
     """
-    if not pattern.has_full_diagonal():
-        raise ValueError("pattern must contain every diagonal position")
+    diagonal_at = pattern.diagonal_positions()
     if not pattern.is_symmetric():
         raise ValueError("pattern must be symmetric")
     rng = np.random.default_rng(seed)
@@ -108,7 +107,7 @@ def random_spd(pattern: SparsityPattern, spec: SpectralClass, seed: int) -> Spar
     diagonal = lo.copy()
     drawn = hi > lo
     diagonal[drawn] = rng.uniform(lo[drawn], hi[drawn])
-    values[pattern.diagonal_positions()] = diagonal
+    values[diagonal_at] = diagonal
     return SparseMatrix(pattern, values)
 
 

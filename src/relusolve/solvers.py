@@ -82,8 +82,9 @@ b_{k+1} / Z_{k+1}, so ||e_k|| <= Z_{k+1} E(s_k), and the levels must meet
 sum_k |final_scale| (k + 1) Z_{k+1} E(s_k) <= budget.
 
 Both lemmas end in sum_k w_k E(s_k) <= budget over weights w_k, with E the
-certified error of a normalized matvec, so one rule picks the levels:
-_greedy_levels starts where each term is at most budget / m, then takes
+certified error of a normalized matvec, so arithmetic.saw_levels, the rule
+that picks every product net's level, picks the levels from the units
+w_k E(1): it starts where each term is at most budget / m, then takes
 stages off while the budget allows, the smallest addition first.  The
 metadata records the levels in the order the steps run, and delta =
 E(max s_k) and z = 1, the deepest body's.
@@ -91,7 +92,6 @@ E(max s_k) and z = 1, the deepest body's.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -99,7 +99,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .arithmetic import SparsityPattern, sparse_matvec_error, sparse_matvec_net, sparse_matvec_net_at
+from .arithmetic import (
+    SparsityPattern, saw_levels, sparse_matvec_error, sparse_matvec_net, sparse_matvec_net_at
+)
 from .calculus import affine_net, parallelize_shared, pipeline
 from .network import Layer, ReluNetwork, make_layer, stats
 
@@ -343,28 +345,6 @@ def clenshaw_step_net(
     return _fused_step(body, body.depth - 2, _clenshaw_end(pattern, 1.0, alpha_bar, 1.0))
 
 
-def _greedy_levels(unit: np.ndarray, budget: float) -> np.ndarray:
-    """Levels s_k >= 1 with sum_k unit_k 4^(1 - s_k) <= budget, few in total.
-
-    Start where every term is at most budget / m, then take stages off while
-    the budget allows, always the one that adds the least: at level s a
-    stage taken off adds 3 unit_k 4^(1 - s), and the next one from the same
-    matvec four times that, so no smaller addition is passed over.
-    """
-    m = len(unit)
-    s = 1 + np.maximum(0.0, np.ceil(np.log(m * unit / budget) / math.log(4.0))).astype(np.int64)
-    spare = budget - float((unit * 4.0 ** (1 - s)).sum())
-    heap = [(3.0 * unit[k] * 4.0 ** (1 - s[k]), k) for k in range(m) if s[k] > 1]
-    heapq.heapify(heap)
-    while heap and heap[0][0] <= spare:
-        added, k = heapq.heappop(heap)
-        spare -= added
-        s[k] -= 1
-        if s[k] > 1:
-            heapq.heappush(heap, (4.0 * added, k))
-    return s
-
-
 def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: SolverConfig):
     """The solver skeleton both builders share, as the module docstring describes.
 
@@ -373,8 +353,7 @@ def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: Solver
     """
     if config.method != method:
         raise ValueError(f"config.method must be {method!r}")
-    if not pattern.has_full_diagonal():
-        raise ValueError("pattern must contain every diagonal position")
+    diagonal = pattern.diagonal_positions()
     config.validate_against(spec)
     n, eta = pattern.n, pattern.eta
     idx = np.arange(n)
@@ -449,7 +428,7 @@ def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: Solver
         extra = {"sigma0": plan.sigma0, "final_scale": plan.final_scale}
     # the lemmas' shared schedule: every matvec reads a norm at most 1, and
     # the steps are prefixes of the deepest body, each with its end map
-    levels = _greedy_levels(weight * sparse_matvec_error(pattern, 1, 1.0, mv_scale), budget).tolist()
+    levels = saw_levels(weight * sparse_matvec_error(pattern, 1, 1.0, mv_scale), budget).tolist()
     s_max = max(levels)
     body = body_of(pattern, sparse_matvec_net_at(pattern, s_max, 1.0, mv_scale))
     # each distinct end map is fused once, into the deepest step; the steps
@@ -462,7 +441,7 @@ def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: Solver
     width = body.input_dim
     p = np.arange(eta)
     bias = np.zeros(width)
-    bias[pattern.diagonal_positions()] = b_diag
+    bias[diagonal] = b_diag
     pre = make_layer(
         (width, eta + n),
         np.concatenate([p, r_at + idx]),

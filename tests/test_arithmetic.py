@@ -1,6 +1,7 @@
 """Certified error bounds and exact-zero structure of the product nets."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from oracles import clamped_square
 from relusolve.arithmetic import (
     SparseMatrix,
     SparsityPattern,
-    _refinement,
     mult_net,
+    saw_levels,
     scalar_product_net,
     sparse_matvec_error,
     sparse_matvec_net,
@@ -46,7 +47,6 @@ def test_pattern_shape_helpers():
     assert list(pat.row_of()) == [0, 0, 1, 1, 1, 2, 2, 2, 3, 3]
     # position 7 is (2, 3) and its transpose (3, 2) is position 8
     assert list(pat.transpose_positions()) == [0, 2, 1, 3, 5, 4, 6, 8, 7, 9]
-    assert pat.has_full_diagonal()
     assert pat.is_symmetric()
     assert list(pat.diagonal_positions()) == [0, 3, 6, 9]
     # the arrays cannot be written through the pattern
@@ -81,7 +81,6 @@ def test_pattern_asymmetric_and_gapped_diagonal():
     pat = pattern_of([(0, 1), (1,)])
     assert not pat.is_symmetric()
     gapped = pattern_of([(1,), (0,)])
-    assert not gapped.has_full_diagonal()
     with pytest.raises(ValueError, match="missing a diagonal"):
         gapped.diagonal_positions()
 
@@ -151,14 +150,17 @@ def test_scaled_hat_channels_are_the_unscaled_ones_down_to_tiny_inputs(s, D):
 def test_square_net_validation():
     with pytest.raises(ValueError, match="refinement level"):
         square_net(0)
-    with pytest.raises(ValueError, match="domain bound"):
-        square_net(2, 0.5)
+    for D in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="domain bound must be finite and at least 1"):
+            square_net(2, D)
 
 
 @pytest.mark.parametrize("eps,D", [(1e-1, 1.0), (1e-2, 2.0)])
 def test_mult_net_certificate(eps, D):
     net = mult_net(eps, D)
-    assert_product_net_size(net, 1, _refinement(math.log2(1.0 / eps) + 2.0 * math.log2(D)))
+    # the fewest stages s with D^2 4^(-s-1) <= eps: 4^-2 <= 0.1 and
+    # 4 * 4^-5 <= 0.01 < 4 * 4^-4
+    assert_product_net_size(net, 1, {1.0: 1, 2.0: 4}[D])
     # the grid's corners (+-D, +-D) put one chain at |u| = |x + y| / (2D) = 1
     g = np.linspace(-D, D, 81)
     X, Y = np.meshgrid(g, g)
@@ -179,15 +181,19 @@ def test_mult_net_zero_lines_are_exact():
 def test_mult_net_validation():
     with pytest.raises(ValueError, match="accuracy"):
         mult_net(1.5)
-    with pytest.raises(ValueError, match="domain bound"):
-        mult_net(0.1, 0.25)
+    # the bound is refused before the level rule sees its certificate
+    for D in (0.25, math.inf, math.nan):
+        with pytest.raises(ValueError, match="domain bound must be finite and at least 1"):
+            mult_net(0.1, D)
 
 
 @pytest.mark.parametrize("k,eps,z", [(1, 1e-2, 1.0), (3, 1e-3, 1.0), (8, 1e-2, 5.0)])
 def test_scalar_product_net_certificate(k, eps, z):
     rng = np.random.default_rng(100 * k)
     net = scalar_product_net(k, eps, z)
-    assert_product_net_size(net, k, _refinement(math.log2(k * z / eps)))
+    # the fewest stages s with k z 4^(-s-1) <= eps: 4^-4 <= 1e-2 < 4^-3,
+    # 3 * 4^-6 <= 1e-3 < 3 * 4^-5 and 40 * 4^-6 <= 1e-2 < 40 * 4^-5
+    assert_product_net_size(net, k, {1: 3, 3: 5, 8: 5}[k])
     for _ in range(20):
         x = rng.normal(size=k)
         x *= rng.uniform(0.1, 1.0) / np.linalg.norm(x)
@@ -213,10 +219,12 @@ def test_scalar_product_net_at_the_domain_boundary(k, eps, z):
 def test_scalar_product_net_validation():
     with pytest.raises(ValueError, match="length"):
         scalar_product_net(0, 0.1)
-    with pytest.raises(ValueError, match="accuracy"):
-        scalar_product_net(2, 0.0)
-    with pytest.raises(ValueError, match="rhs bound"):
-        scalar_product_net(2, 0.1, 0.5)
+    for eps in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="accuracy"):
+            scalar_product_net(2, eps)
+    for z in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="rhs bound must be finite and at least 1"):
+            scalar_product_net(2, 0.1, z)
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0, -0.5])
@@ -224,8 +232,10 @@ def test_sparse_matvec_net_certificate(scale):
     pat = tridiagonal_pattern(5)
     eps, z = 1e-3, 2.0
     net = sparse_matvec_net(pat, eps, z, scale)
-    eps_row = eps / (abs(scale) * math.sqrt(pat.n))
-    assert_product_net_size(net, pat.eta, _refinement(math.log2(pat.chi_max * z / eps_row)))
+    # the fewest stages s with sqrt(5) 3 |scale| 2 4^(-s-1) <= 1e-3: that is
+    # 8.2e-4 at s = 6 for scale 1, 4.1e-4 at s = 7 for scale 2 and 4.1e-4 at
+    # s = 6 for scale -0.5, and 4 times as much a stage less
+    assert_product_net_size(net, pat.eta, {1.0: 6, 2.0: 7, -0.5: 6}[scale])
     rng = np.random.default_rng(17)
     for _ in range(15):
         A = random_operator(pat, rng)
@@ -345,10 +355,9 @@ def test_sparse_matvec_net_at_the_domain_boundary(pattern, scale):
 
 def test_sparse_matvec_net_validation():
     pat = diagonal_pattern(2)
-    with pytest.raises(ValueError, match="accuracy"):
-        sparse_matvec_net(pat, 0.0)
-    with pytest.raises(ValueError, match="accuracy"):
-        sparse_matvec_net(pat, math.nan)
+    for eps in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="accuracy"):
+            sparse_matvec_net(pat, eps)
     with pytest.raises(ValueError, match="rhs bound"):
         sparse_matvec_net(pat, 0.1, 0.5)
     for z in (math.inf, math.nan):
@@ -363,6 +372,98 @@ def test_sparse_matvec_net_validation():
         sparse_matvec_net_at(pat, 2, 0.5)
     with pytest.raises(ValueError, match="scale"):
         sparse_matvec_net_at(pat, 2, 1.0, 0.0)
+
+
+def _below(x: float, ulps: int) -> float:
+    for _ in range(ulps):
+        x = np.nextafter(x, 0.0)
+    return x
+
+
+def _level_cases():
+    """(name, level s -> certificate, eps -> net) over several weights each.
+
+    Level s errs by at most its level-1 certificate times 4^(1-s), exactly:
+    every certificate is one rounded product scaled by a power of 4.
+    """
+    pat = tridiagonal_pattern(5)
+    for D in (1.0, 1.7, 3.0):
+        yield (f"mult_net D={D}", lambda s, D=D: D * D * 4.0 ** (-s - 1),
+               lambda eps, D=D: mult_net(eps, D))
+    for k, z in ((1, 1.0), (3, 2.5), (7, 1.3)):
+        yield (f"scalar_product_net k={k} z={z}", lambda s, k=k, z=z: k * z * 4.0 ** (-s - 1),
+               lambda eps, k=k, z=z: scalar_product_net(k, eps, z))
+    for z, scale in ((1.0, 1.0), (2.0, 2.0), (1.3, -0.5)):
+        yield (f"sparse_matvec_net z={z} scale={scale}",
+               lambda s, z=z, scale=scale: sparse_matvec_error(pat, s, z, scale),
+               lambda eps, z=z, scale=scale: sparse_matvec_net(pat, eps, z, scale))
+
+
+@pytest.mark.parametrize("case", list(_level_cases()), ids=lambda case: case[0])
+def test_product_nets_take_the_fewest_stages_whose_certificate_meets_eps(case):
+    # at eps equal to level s's certificate the net has s stages, and a few
+    # ulps below it one more: the level is never one whose certificate
+    # exceeds eps, however close eps comes to a power-of-4 boundary
+    _, certificate, build = case
+    for s in range(1, 13):
+        eps = certificate(s)
+        if eps >= 1.0:
+            continue
+        assert build(eps).depth == s + 2
+        for ulps in (1, 2, 5):
+            assert build(_below(eps, ulps)).depth == s + 3
+
+
+@pytest.mark.parametrize("m", [1, 56, 175])
+def test_saw_levels_start_leaves_no_term_above_its_share(m):
+    # a probe unit within a few ulps of share 4^k sits beside m - 1 fillers
+    # whose terms start exactly at the share budget / m, so the budget has
+    # no room to take a stage off any of them and the probe keeps its start
+    # level: the fewest stages that bring its term to at most the share
+    share = 2.0**-5
+    budget = m * share
+    for k in range(8):
+        fillers = share * 4.0 ** (np.arange(m - 1) % 4)
+        edge = share * 4.0**k
+        probes = [_below(edge, ulps) for ulps in (3, 2, 1)] + [edge]
+        probes += [np.nextafter(probes[-1], np.inf)]
+        probes += [np.nextafter(probes[-1], np.inf), np.nextafter(probes[-1], np.inf)]
+        for unit in probes:
+            levels = saw_levels(np.concatenate([[unit], fillers]), budget)
+            s = levels[0]
+            assert unit * 4.0 ** (1 - s) <= share
+            assert s == 1 or unit * 4.0 ** (2 - s) > share
+            assert list(levels[1:]) == list(1 + np.arange(m - 1) % 4)
+
+
+@pytest.mark.parametrize("m", [1, 56, 175])
+def test_saw_levels_meet_the_budget_exactly_at_power_of_4_edges(m):
+    # units within a few ulps of budget 4^k / m, where a share budget / m
+    # rounded up or a running spare rounded up lets the terms overshoot
+    for budget in (0.1, 0.37, 1e-3):
+        for k in range(6):
+            x = _below(budget * 4.0**k / m, 4)
+            for _ in range(9):
+                for unit in (np.full(m, x), np.where(np.arange(m) % 2, x, 1.37 * x)):
+                    levels = saw_levels(unit, budget)
+                    assert levels.min() >= 1
+                    total = sum(Fraction(u) / 4 ** (int(s) - 1) for u, s in zip(unit.tolist(), levels))
+                    assert total <= budget
+                x = np.nextafter(x, np.inf)
+
+
+def test_saw_levels_validation():
+    # a negative budget would step the levels up forever, and an infinite
+    # certificate would step them to underflow
+    for budget in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite positive accuracy"):
+            saw_levels([1.0], budget)
+    for unit in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite certificates"):
+            saw_levels([1.0, unit], 0.1)
+    # a finite bound whose square overflows is refused by the rule
+    with pytest.raises(ValueError, match="finite certificates"):
+        mult_net(0.1, 1e200)
 
 
 @settings(max_examples=40, deadline=None)
