@@ -51,6 +51,7 @@ from .solvers import (
     audit_complexity,
     build_cg_net,
     build_richardson_net,
+    plan,
 )
 
 # relative widening of an eigensolve's extremes into a bracket; it covers the
@@ -278,7 +279,8 @@ def cmd_verify(args) -> int:
     ]
     realized = [float(np.linalg.norm(r) / lam) for r in rhs]
     zero_exact = bool(np.all(out[:, -1] == 0.0))
-    max_error = max(errors) if errors else 0.0
+    # the zero rhs is an admissible input too, with the exact solution 0
+    max_error = max(errors + [float(np.linalg.norm(out[:, -1]))])
     passed = max_error <= eps
     st = stats(net)
     results = {
@@ -319,10 +321,8 @@ def cmd_audit(args) -> int:
     for method in methods:
         for pattern, _, spec, _ in resolved:
             for eps in eps_list:
-                config = SolverConfig(method, eps, args.c_sc)
-                net = _build_net(method, pattern, spec, config)
-                m = net.metadata["m"]
-                rec = audit_complexity(net, m, eps, pattern.n, pattern.eta)
+                sized = plan(method, pattern, spec, SolverConfig(method, eps, args.c_sc))
+                rec = audit_complexity(sized.size(), sized.m, eps, pattern.n, pattern.eta)
                 rows.append(
                     {
                         "method": method,
@@ -330,7 +330,7 @@ def cmd_audit(args) -> int:
                         "eta": pattern.eta,
                         "kappa": spec.kappa,
                         "eps": eps,
-                        "m": m,
+                        "m": sized.m,
                         "L": rec.depth,
                         "M": rec.weights,
                         "ratio_L": rec.ratio_L,
@@ -413,7 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
-    p_audit = subs.add_parser("audit", help="sweep builds and report complexity ratios")
+    p_audit = subs.add_parser(
+        "audit", help="report each config's exact size and complexity ratios from its plan, building no net"
+    )
     p_audit.add_argument("--problem", default="laplacian1d")
     p_audit.add_argument("--n", default="8,16,32", help="comma-separated sizes")
     p_audit.add_argument("--eps", default="0.5,0.1", help="comma-separated accuracies")

@@ -1,8 +1,8 @@
 """Floating-point reference implementations used to cross-check the nets.
 
 Everything here is deliberately independent of the network constructions:
-a direct factorization, the plain Richardson loop, and Clenshaw's backward
-recurrence.  Tests freeze values produced by these routines.
+a direct factorization and Clenshaw's backward recurrence.  Tests freeze
+values produced by these routines.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import scipy.linalg
 
 __all__ = [
     "clenshaw_eval",
-    "richardson_iterate",
     "solve_exact",
 ]
 
@@ -45,16 +44,6 @@ def solve_exact(A, r) -> np.ndarray:
         resid = r - Ad @ x
         if np.linalg.norm(resid) > tol:
             raise ValueError("direct solve failed the residual check")
-    return x
-
-
-def richardson_iterate(A, r, omega: float, m: int) -> np.ndarray:
-    """m+1 damped fixed-point steps x <- x + omega (r - A x) from x = 0."""
-    Ad = _as_dense(A)
-    r = np.asarray(r, dtype=np.float64).reshape(-1)
-    x = np.zeros_like(r)
-    for _ in range(m + 1):
-        x = x + omega * (r - Ad @ x)
     return x
 
 

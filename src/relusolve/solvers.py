@@ -1,17 +1,24 @@
 """End-to-end ReLU solver networks for sparse SPD systems.
 
-Both builders are one call into _build, the skeleton the methods share: the
-checks, the exact affine net when kappa == 1, else an exact affine rescale
+A solver net is built in two parts, plan and then assemble.
+plan(method, pattern, spec, config) runs the checks and computes the net's
+numbers without making a layer: the step count m, each step's saw level in
+the order the steps run, each step's end map as data, the matvec's scale,
+the numbers of the rescale and output layers, and the metadata; m == 0 is
+the exact affine net of kappa == 1, the output layer alone.  Plan.size()
+counts the assembled net's layers, weights and neurons from those numbers
+in closed form.  _assemble(plan) makes the layers: an exact affine rescale
 layer, m step networks chained by sparse concatenation, and an exact affine
-output layer.  The rescale writes B^v = b_diag I + b_scale A over the
-pattern and r_scale r at state offset r_at; the output reads x_scale times
-the sum of the n-blocks at the offsets x_at.  Each method's branch sets only
-those numbers, m, the matvec budget, each matvec's error weight in the order
-the steps run, its step body and end maps, and its metadata extras:
-Richardson's B^v = I - omega A, r_scale = omega / Z_0 and
-x = Z_{m-1} (c/Z_{m-1} + v/Z_{m-1}); cg's B^v = sigma0 I - (slope/Lam) A,
-r_scale = 1/Lam and x = final_scale Z_0 (b_0 / Z_0).  The rest is one tail:
-the levels, the body and the steps.
+output layer, and both builders are _assemble(plan(...)).  The rescale
+writes B^v = b_diag I + b_scale A over the pattern and r_scale r at state
+offset r_at; the output reads x_scale times the sum of the n-blocks at the
+offsets x_at.  Each method's branch of plan sets only those numbers, m, the
+matvec budget, each matvec's error weight in the order the steps run, its
+end maps and its metadata extras: Richardson's B^v = I - omega A,
+r_scale = omega / Z_0 and x = Z_{m-1} (c/Z_{m-1} + v/Z_{m-1}), with end
+ratios Z_j / Z_{j+1}; cg's B^v = sigma0 I - (slope/Lam) A, r_scale = 1/Lam
+and x = final_scale Z_0 (b_0 / Z_0), with end triples (w_scale, alpha,
+nn_scale).  The levels come from one rule for both.
 
 Both steps share one body: identity channels on the matrix values, a
 matvec, and an exact affine carry beside them, each carried to the matvec's
@@ -19,8 +26,8 @@ depth by parallelize_shared.  The Richardson body maps (B^v, v, c) to
 (B^v, B v, v + c) with the carry [I, I]; the cg-type body feeds the Clenshaw
 recurrence b_k = alpha_k r + 2 B b_next - b_nextnext against the Chebyshev
 coefficients of the optimal solver polynomial, with identity carries and a
-combination C, each step's end map, fused into the body's last layer.  The
-tail builds the deepest body once: a step at level s runs its first layer
+combination C, each step's end map, fused into the body's last layer.
+_assemble builds the deepest body once: a step at level s runs its first layer
 and saw levels 1..s, then the body's own end or its end map times it:
 arithmetic holds saw stage t's hat channels at scale 4^-t, exact by ReLU's
 positive homogeneity while they stay normal doubles (they round by a few
@@ -103,10 +110,11 @@ from .arithmetic import (
     SparsityPattern, saw_levels, sparse_matvec_error, sparse_matvec_net, sparse_matvec_net_at
 )
 from .calculus import affine_net, parallelize_shared, pipeline
-from .network import Layer, ReluNetwork, make_layer, stats
+from .network import Layer, NetworkStats, ReluNetwork, make_layer, stats
 
 __all__ = [
     "ChebyshevPlan",
+    "Plan",
     "SolverConfig",
     "SpectralClass",
     "audit_complexity",
@@ -116,6 +124,7 @@ __all__ = [
     "clenshaw_step_net",
     "m_cg",
     "m_richardson",
+    "plan",
     "rho_alpha",
     "richardson_step_net",
 ]
@@ -345,18 +354,79 @@ def clenshaw_step_net(
     return _fused_step(body, body.depth - 2, _clenshaw_end(pattern, 1.0, alpha_bar, 1.0))
 
 
-def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: SolverConfig):
-    """The solver skeleton both builders share, as the module docstring describes.
+@dataclass(frozen=True)
+class Plan:
+    """A solver net's numbers, as plan computes them; _assemble makes its layers.
 
-    The rescale layer leaves every state block but B^v and the rhs block at
-    zero.  Metadata keys keep their order: the JSON text is part of the file.
+    levels holds each step's saw level and ends each step's end map, in the
+    order the steps run: Richardson's ratio Z_j / Z_{j+1}, or cg's
+    (w_scale, alpha, nn_scale).  rescale is (b_diag, b_scale, r_scale, r_at)
+    and output (x_scale, x_at), as the module docstring describes; m == 0
+    stands for the kappa == 1 net, the output layer on the input with no
+    rescale.  metadata keeps its key order: the JSON text is part of the
+    file.
+    """
+
+    method: str
+    pattern: SparsityPattern
+    m: int
+    levels: tuple
+    ends: tuple
+    mv_scale: float
+    rescale: tuple
+    output: tuple
+    metadata: dict
+
+    def size(self) -> NetworkStats:
+        """stats() of the assembled net, in closed form.
+
+        With E = eta, carry rows k and carry entries (Richardson's [I, I]:
+        k = n, 2n entries; cg's I_3n: k = 3n, 3n entries) and the state width
+        W = E + 2n (Richardson) or E + 3n (cg), the rows and weights of each
+        layer as pipeline leaves it, each split or merged into its neighbours:
+
+            rescale                  2W       2E + 4n
+            a step's first layer     6E + 2k  20E + 4 entries
+            saw stage 1              8E + 2k  16E + 2k
+            saw stage t >= 2         8E + 2k  18E + 2k
+            a step's end             2W       16E + 4k, plus 4n for cg
+            output                   n        2n per block read
+
+        A matvec term stores 8, 14, 16 a later stage and 6 weights in its
+        first, first saw, later saw and summation layers (arithmetic's
+        16 s + 12), and every identity or carry channel a (+, -) pair.  So a
+        step at level s has s + 2 layers and L = 2 + sum_k (s_k + 2).  The
+        kappa == 1 net is one layer of n rows and n weights.
+        """
+        n, E = self.pattern.n, self.pattern.eta
+        x_at = self.output[1]
+        layers = [(n, n * len(x_at))]
+        if self.m:
+            cg = self.method == "cg"
+            k, entries, W = (3 * n, 3 * n, E + 3 * n) if cg else (n, 2 * n, E + 2 * n)
+            first, saw = (6 * E + 2 * k, 20 * E + 4 * entries), 8 * E + 2 * k
+            end = (2 * W, 16 * E + 4 * k + 4 * n * cg)
+            layers = [(2 * W, 2 * E + 4 * n)]
+            for s in self.levels:
+                layers += [first, (saw, 16 * E + 2 * k)] + [(saw, 18 * E + 2 * k)] * (s - 1) + [end]
+            layers.append((n, 2 * n * len(x_at)))
+        rows, per_layer = zip(*layers)
+        return NetworkStats(
+            depth=len(rows), weights=sum(per_layer), per_layer=per_layer, max_width=max((E + n,) + rows),
+            input_dim=E + n, output_dim=n, neurons=sum(rows[:-1]),
+        )
+
+
+def plan(method, pattern: SparsityPattern, spec: SpectralClass, config: SolverConfig) -> Plan:
+    """The checks and every number of the solver net, as the module docstring derives them.
+
+    Makes no layer: Z, the error weights and the budget stay here.
     """
     if config.method != method:
         raise ValueError(f"config.method must be {method!r}")
-    diagonal = pattern.diagonal_positions()
+    pattern.diagonal_positions()
     config.validate_against(spec)
     n, eta = pattern.n, pattern.eta
-    idx = np.arange(n)
     meta = {
         "method": method,
         "n": n,
@@ -370,8 +440,7 @@ def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: Solver
     }
     if spec.kappa == 1.0:
         # kappa = 1 means A = lam * I on the spectrum, so x = r / lam exactly
-        layer = make_layer((n, eta + n), idx, eta + idx, np.full(n, 1.0 / spec.lam))
-        return ReluNetwork([layer], metadata=meta)
+        return Plan(method, pattern, 0, (), (), 1.0, None, (1.0 / spec.lam, (eta,)), meta)
     eps, c_sc, kappa = config.epsilon, config.c_sc, spec.kappa
     if method == "richardson":
         omega = spec.omega
@@ -387,81 +456,102 @@ def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: Solver
         mant, exp = np.frexp(2.0 * c_sc / (1.0 + kappa) * rho**j + budget / K)
         Z = np.ldexp(1.0, exp - (mant == 0.5))
         weight = Z * np.minimum(m - j, (1.0 + kappa) / 2.0)
-        # step j ends at scale Z_{j+1}, the last at its own: one end map per
-        # distinct ratio but 1, the v and c rows times the ratio
-        ratios = (Z / np.append(Z[1:], Z[-1])).tolist()
-        scaled = {
-            r: sp.diags(np.concatenate([np.ones(eta), np.full(2 * n, r)]))
-            for r in set(ratios) - {1.0}
-        }
-        body_of, mv_scale, ends = _richardson_body, 1.0, [scaled.get(r) for r in ratios]
+        # step j ends at scale Z_{j+1}, the last at its own
+        ends, mv_scale = (Z / np.append(Z[1:], Z[-1])).tolist(), 1.0
         # state (B^v, v_j / Z_j, c_j / Z_j): B^v = I - omega A, v_0 = omega r,
         # c_0 = 0; x = Z_{m-1} (v_m / Z_{m-1} + c_m / Z_{m-1})
-        b_diag, b_scale, r_scale, r_at = 1.0, -omega, omega / Z[0], eta
-        x_scale, x_at = float(Z[-1]), (eta, eta + n)
+        rescale, output = (1.0, -omega, float(omega / Z[0]), eta), (float(Z[-1]), (eta, eta + n))
         extra = {"omega": omega}
     else:
         m = m_cg(eps, c_sc, rho_alpha(spec, 0.5))
-        plan = cheb_plan(m, spec)
-        scale = abs(plan.final_scale)
-        budget = eps - c_sc * plan.truncation
+        cheb = cheb_plan(m, spec)
+        scale = abs(cheb.final_scale)
+        budget = eps - c_sc * cheb.truncation
         # two cumulative sums over the reversed coefficients give every
         # S_k = sum_{j>=k} coeffs[j] (j - k + 1) in O(m), as m reaches the
         # thousands at large kappa; S_m = S_{m+1} = 0
-        sums = np.cumsum(np.cumsum(plan.coeffs[::-1]))[::-1]
+        sums = np.cumsum(np.cumsum(cheb.coeffs[::-1]))[::-1]
         Z = c_sc / kappa * np.concatenate([sums, [0.0, 0.0]]) + budget / scale
         # the cg lemma above: the matvec that makes b_k errs by Z_{k+1} E(s_k)
         # in b_k, which reaches x with weight |final_scale| (k + 1); the
-        # steps run k = m - 1 .. 0
+        # steps run k = m - 1 .. 0, each ending in the combination
+        # (Z_{k+1} / Z_k, coeffs[k] / Z_k, Z_{k+2} / Z_k)
         weight = (scale * np.arange(1, m + 1) * Z[1 : m + 1])[::-1]
-        body_of, mv_scale = _clenshaw_body, 2.0
-        ends = [
-            _clenshaw_end(pattern, Z[k + 1] / Z[k], plan.coeffs[k] / Z[k], Z[k + 2] / Z[k])
-            for k in range(m - 1, -1, -1)
-        ]
+        k = np.arange(m - 1, -1, -1)
+        ends = zip(
+            (Z[k + 1] / Z[k]).tolist(), (np.array(cheb.coeffs)[k] / Z[k]).tolist(), (Z[k + 2] / Z[k]).tolist()
+        )
+        mv_scale = 2.0
         # state (B^v, b_next / Z_{k+1}, b_nextnext / Z_{k+2}, rhat):
         # B^v = sigma0 I - (slope/Lam) A, rhat = r / Lam, Clenshaw carries
         # start at zero; x = final_scale * Z_0 * (b_0 / Z_0)
         slope = 2.0 * kappa / (kappa - 1.0)
-        b_diag, b_scale, r_scale, r_at = plan.sigma0, -slope / spec.Lam, 1.0 / spec.Lam, eta + 2 * n
-        x_scale, x_at = plan.final_scale * float(Z[0]), (eta,)
-        extra = {"sigma0": plan.sigma0, "final_scale": plan.final_scale}
-    # the lemmas' shared schedule: every matvec reads a norm at most 1, and
-    # the steps are prefixes of the deepest body, each with its end map
+        rescale = (cheb.sigma0, -slope / spec.Lam, 1.0 / spec.Lam, eta + 2 * n)
+        output = (cheb.final_scale * float(Z[0]), (eta,))
+        extra = {"sigma0": cheb.sigma0, "final_scale": cheb.final_scale}
+    # the lemmas' shared schedule: every matvec reads a norm at most 1
     levels = saw_levels(weight * sparse_matvec_error(pattern, 1, 1.0, mv_scale), budget).tolist()
-    s_max = max(levels)
-    body = body_of(pattern, sparse_matvec_net_at(pattern, s_max, 1.0, mv_scale))
-    # each distinct end map is fused once, into the deepest step; the steps
-    # are prefixes of their end's deepest step, so steps with one end share it
-    deepest = {}
-    for end in ends:
-        if id(end) not in deepest:
-            deepest[id(end)] = _fused_step(body, s_max, end)
-    steps = [_fused_step(deepest[id(end)], s, None) for s, end in zip(levels, ends)]
-    width = body.input_dim
-    p = np.arange(eta)
-    bias = np.zeros(width)
-    bias[diagonal] = b_diag
-    pre = make_layer(
-        (width, eta + n),
-        np.concatenate([p, r_at + idx]),
-        np.concatenate([p, eta + idx]),
-        np.concatenate([np.full(eta, b_scale), np.full(n, r_scale)]),
-        bias,
-    )
+    # each step's level in the order the steps run, as [level, count] runs
+    runs = [[s, len(list(group))] for s, group in itertools.groupby(levels)]
+    delta = sparse_matvec_error(pattern, max(levels), 1.0, mv_scale)
+    meta.update(m=m, **extra, levels=runs, delta=delta, z=1.0)
+    return Plan(method, pattern, m, tuple(levels), tuple(ends), mv_scale, rescale, output, meta)
+
+
+def _assemble(plan: Plan) -> ReluNetwork:
+    """The layers of a plan: the rescale layer, the steps and the output layer.
+
+    The steps are prefixes of the deepest body, each with its end map.  The
+    rescale layer leaves every state block but B^v and the rhs block at
+    zero; with m == 0 the output layer reads the input.
+    """
+    pattern = plan.pattern
+    n, eta = pattern.n, pattern.eta
+    idx = np.arange(n)
+    stages, width = [], eta + n
+    if plan.m:
+        ends = dict.fromkeys(plan.ends)
+        if plan.method == "richardson":
+            body_of = _richardson_body
+            # a ratio scales the v and c rows; 1 keeps the body's own last layer
+            maps = {r: sp.diags(np.concatenate([np.ones(eta), np.full(2 * n, r)])) for r in ends if r != 1.0}
+        else:
+            body_of = _clenshaw_body
+            maps = {end: _clenshaw_end(pattern, *end) for end in ends}
+        s_max = max(plan.levels)
+        body = body_of(pattern, sparse_matvec_net_at(pattern, s_max, 1.0, plan.mv_scale))
+        # each distinct end is fused once, into the deepest step; the steps
+        # are prefixes of their end's deepest step, so steps with one end share it
+        deepest = {end: _fused_step(body, s_max, maps.get(end)) for end in ends}
+        steps = [_fused_step(deepest[end], s, None) for s, end in zip(plan.levels, plan.ends)]
+        width = body.input_dim
+        b_diag, b_scale, r_scale, r_at = plan.rescale
+        p = np.arange(eta)
+        bias = np.zeros(width)
+        bias[pattern.diagonal_positions()] = b_diag
+        pre = make_layer(
+            (width, eta + n),
+            np.concatenate([p, r_at + idx]),
+            np.concatenate([p, eta + idx]),
+            np.concatenate([np.full(eta, b_scale), np.full(n, r_scale)]),
+            bias,
+        )
+        stages = [ReluNetwork([pre])] + steps
+    x_scale, x_at = plan.output
     post = make_layer(
         (n, width),
         np.tile(idx, len(x_at)),
         np.concatenate([at + idx for at in x_at]),
         np.full(n * len(x_at), x_scale),
     )
-    net = pipeline([ReluNetwork([pre])] + steps + [ReluNetwork([post])])
-    # each step's level in the order the steps run, as [level, count] runs
-    runs = [[s, len(list(group))] for s, group in itertools.groupby(levels)]
-    delta = sparse_matvec_error(pattern, s_max, 1.0, mv_scale)
-    meta.update(m=m, **extra, levels=runs, delta=delta, z=1.0)
-    net.metadata = meta
+    net = pipeline(stages + [ReluNetwork([post])])
+    net.metadata = dict(plan.metadata)
     return net
+
+
+def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: SolverConfig):
+    """The solver net both builders share: plan's numbers, then their layers."""
+    return _assemble(plan(method, pattern, spec, config))
 
 
 def build_richardson_net(
@@ -497,15 +587,16 @@ class AuditRecord:
     neurons: int
 
 
-def audit_complexity(net: ReluNetwork, m: int, eps: float, n: int, eta: int) -> AuditRecord:
-    """Measured (depth, weights) against the m(log2(1/eps)+log2 n+log2 m) shape.
+def audit_complexity(net, m: int, eps: float, n: int, eta: int) -> AuditRecord:
+    """(depth, weights) against the m(log2(1/eps)+log2 n+log2 m) shape.
 
-    ratio_L divides the depth by that factor, ratio_M additionally by eta;
-    neurons (summed hidden widths) is reported beside them.
+    net is a network or its NetworkStats, such as Plan.size().  ratio_L
+    divides the depth by that factor, ratio_M additionally by eta; neurons
+    (summed hidden widths) is reported beside them.
     """
     if m < 1:
         raise ValueError("audit needs an iterative build (m >= 1)")
-    st = stats(net)
+    st = net if isinstance(net, NetworkStats) else stats(net)
     denom = m * (math.log2(1.0 / eps) + math.log2(n) + math.log2(m))
     return AuditRecord(
         depth=st.depth,

@@ -1,10 +1,10 @@
-"""Independent oracles for the arithmetic and Chebyshev tests.
+"""Independent oracles for the arithmetic, Richardson and Chebyshev tests.
 
 square_net's function with Yarotsky's clamped hat, replayed in numpy in the
-network's float order; Chebyshev polynomials by their three-term
-recurrence, the U-series by forward evaluation (against clenshaw_eval's
-backward one), and the divided coefficients cheb_plan normalizes, in exact
-rational arithmetic.
+network's float order; the plain Richardson loop on a dense matrix;
+Chebyshev polynomials by their three-term recurrence, the U-series by
+forward evaluation (against clenshaw_eval's backward one), and the divided
+coefficients cheb_plan normalizes, in exact rational arithmetic.
 """
 
 from fractions import Fraction
@@ -41,6 +41,16 @@ def clamped_square(x, s: int, D: float = 1.0):
         n1, n2, n3 = _relu(g), _relu(g + -0.5), _relu(g + -1.0)
     qf, dd = 4.0 ** (-s), D * D
     return _row(dd * (-2.0 * qf) * n1, dd * (4.0 * qf) * n2, dd * (-2.0 * qf) * n3, dd * c)
+
+
+def richardson_iterate(A, r, omega: float, m: int) -> np.ndarray:
+    """m+1 damped fixed-point steps x <- x + omega (r - A x) from x = 0."""
+    A = np.asarray(A, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64).reshape(-1)
+    x = np.zeros_like(r)
+    for _ in range(m + 1):
+        x = x + omega * (r - A @ x)
+    return x
 
 
 def chebyshev_eval(kind: str, j: int, x):

@@ -15,7 +15,7 @@ import pytest
 
 import relusolve
 from conftest import pattern_of
-from relusolve import problems
+from relusolve import cli, problems, solvers
 from relusolve.arithmetic import SparseMatrix
 from relusolve.cli import _resolve_problem, build_parser, main
 from relusolve.network import load_network, stats
@@ -125,6 +125,26 @@ def test_verify_passes_on_intact_network(capsys, tmp_path):
     assert {"load_s", "eval_s", "total_s"} <= set(report["durations"])
     assert report["peak_rss_mb"] > 0
     assert len(res["per_sample_errors"]) == 20
+
+
+@pytest.mark.parametrize("samples", ["3", "0"])
+def test_verify_counts_the_zero_rhs_in_its_error(capsys, tmp_path, monkeypatch, samples):
+    # r = 0 is admissible and its solution is 0: an output off by 1 in every
+    # entry of that column fails verify, with or without random samples
+    path, _ = build_small_net(capsys, tmp_path)
+    evaluate = cli.evaluate
+
+    def shifted(net, x):
+        out = evaluate(net, x)
+        out[:, -1] += 1.0
+        return out
+
+    monkeypatch.setattr(cli, "evaluate", shifted)
+    rc, out, err = run_cli(capsys, "verify", "--net", str(path), "--n", "8", "--samples", samples)
+    assert rc == 1, err
+    res = json.loads(out)["results"]
+    assert res["passed"] is False and res["zero_rhs_exact"] is False
+    assert res["max_error"] == pytest.approx(np.sqrt(8))
 
 
 def test_verify_fails_on_zeroed_weight(capsys, tmp_path):
@@ -494,6 +514,44 @@ def test_audit_reports_neurons_in_both_formats(capsys, tmp_path):
         neurons = report["results"]["stats"]["neurons"]
         assert list(csv_row)[-1] == "neurons" and csv_row["neurons"] == str(neurons)
         assert json_row["neurons"] == neurons
+
+
+def test_audit_predicts_a_net_too_large_to_build(capsys):
+    rc, out, err = run_cli(capsys, "audit", "--n", "1024", "--eps", "0.02", "--method", "cg",
+                           "--format", "json")
+    assert rc == 0, err
+    (row,) = json.loads(out)["results"]["rows"]
+    assert (row["m"], row["L"], row["M"]) == (1729, 28285, 1754413492)
+
+
+def test_audit_reads_the_plan_and_builds_no_net(capsys, tmp_path, monkeypatch):
+    # each row's m, L, M and neurons are those of the net build writes
+    def refuse(plan):
+        raise AssertionError("audit assembled a net")
+
+    monkeypatch.setattr(solvers, "_assemble", refuse)
+    rc, out, err = run_cli(capsys, "audit", "--n", "8", "--eps", "0.5", "--method", "richardson,cg",
+                           "--format", "json")
+    assert rc == 0, err
+    rows = json.loads(out)["results"]["rows"]
+    monkeypatch.undo()
+    for method, row in zip(("richardson", "cg"), rows, strict=True):
+        _, report = build_small_net(capsys, tmp_path, method=method)
+        built = report["results"]
+        assert (row["m"], row["L"], row["M"], row["neurons"]) == (
+            built["metadata"]["m"], built["stats"]["depth"], built["stats"]["weights"],
+            built["stats"]["neurons"],
+        )
+
+
+def test_audit_refuses_c_sc_above_the_bound_as_build_does(capsys, tmp_path):
+    rc, _, build_err = run_cli(capsys, "build", "--method", "richardson", "--n", "8", "--c-sc", "1e6",
+                               "--out", str(tmp_path / "net.npz"))
+    assert rc == 2 and "exceeds the admissible bound" in build_err
+    rc, out, err = run_cli(capsys, "audit", "--n", "8", "--eps", "0.1", "--method", "richardson",
+                           "--c-sc", "1e6")
+    assert rc == 2 and out == ""
+    assert err == build_err
 
 
 def test_audit_resolves_each_problem_once_per_size(capsys, tmp_path, monkeypatch):

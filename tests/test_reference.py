@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import chebyshev_eval, chebyshev_t_exact, divided_cheb_coeffs, u_series_eval
+from oracles import (
+    chebyshev_eval, chebyshev_t_exact, divided_cheb_coeffs, richardson_iterate, u_series_eval
+)
 from relusolve.problems import gen_laplacian
-from relusolve.reference import clenshaw_eval, richardson_iterate, solve_exact
+from relusolve.reference import clenshaw_eval, solve_exact
 
 
 def test_solve_exact_known_system():

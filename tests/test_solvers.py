@@ -1,5 +1,6 @@
 """Step-count formulas, coefficient plans, step nets, and the end-to-end builders."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,16 +10,19 @@ from hypothesis import strategies as st
 
 from conftest import pattern_of, random_operator, tridiagonal_pattern
 from oracles import divided_cheb_coeffs
+from relusolve import solvers
 from relusolve.arithmetic import SparseMatrix, sparse_matvec_error, sparse_matvec_net, sparse_matvec_net_at
 from relusolve.calculus import _merge_first, _split_layer
 from relusolve.network import ReluNetwork, evaluate, stats
 from relusolve.problems import gen_laplacian, random_rhs, random_spd
 from relusolve.reference import solve_exact
 from relusolve.solvers import (
+    METHODS,
     AuditRecord,
     ChebyshevPlan,
     SolverConfig,
     SpectralClass,
+    _assemble,
     _clenshaw_body,
     _clenshaw_end,
     _fused_step,
@@ -29,6 +33,7 @@ from relusolve.solvers import (
     clenshaw_step_net,
     m_cg,
     m_richardson,
+    plan,
     rho_alpha,
     richardson_step_net,
 )
@@ -703,6 +708,73 @@ def test_scalar_reciprocal_instance():
     for a in (0.5, 0.8, 1.3, 2.0):
         out = evaluate(net, np.array([a, 0.5 * 0.9]))
         assert abs(out[0] - 0.45 / a) <= 0.05
+
+
+# an arrow: row 0 reads every column, row i > 0 only (0, i), so chi runs 2..7
+ARROW = pattern_of([tuple(range(7))] + [(0, i) for i in range(1, 7)])
+
+
+def _size_problem(kind, N):
+    """(pattern, spectral class) of a Plan.size() case."""
+    if kind == "arrow":
+        # the random problem's bracket, which random_spd draws matrices inside
+        return ARROW, SpectralClass(1.0, 100.0)
+    if kind == "random":
+        return gen_laplacian(1, N).pattern, SpectralClass(1.0, 100.0)
+    if kind == "kappa1":
+        return tridiagonal_pattern(N), SpectralClass(2.0, 2.0)
+    fem = gen_laplacian(1 if kind == "laplacian1d" else 2, N)
+    return fem.pattern, fem.spectral
+
+
+SIZE_CASES = (
+    # criterion 04's configs
+    [("laplacian1d", N, eps, method, "1") for N in (8, 16, 32) for eps in (0.5, 0.1, 0.02)
+     for method in METHODS]
+    + [("laplacian2d", N, 0.1, method, "1") for N in (3, 4, 8) for method in METHODS]
+    + [case for method in METHODS for case in (
+        ("laplacian1d", 16, 0.1, method, "max"),
+        ("laplacian2d", 4, 0.1, method, "max"),
+        ("random", 16, 0.1, method, "1"),
+        ("kappa1", 5, 0.1, method, "1"),
+        ("arrow", 7, 0.5, method, "1"),
+        ("arrow", 7, 0.1, method, "max"),
+    )]
+)
+
+
+@pytest.mark.parametrize("kind, N, eps, method, c_sc", SIZE_CASES,
+                         ids=["-".join(map(str, case)) for case in SIZE_CASES])
+def test_plan_size_is_the_stats_of_the_net_it_assembles(kind, N, eps, method, c_sc):
+    pattern, spec = _size_problem(kind, N)
+    limit = (1.0 + spec.kappa) / 2.0 if method == "richardson" else spec.kappa
+    planned = plan(method, pattern, spec, SolverConfig(method, eps, 1.0 if c_sc == "1" else limit))
+    assert planned.size() == stats(_assemble(planned))
+
+
+def test_plan_size_follows_edited_levels():
+    # a plan with other levels assembles to the net its size() counts
+    fem = gen_laplacian(1, 8)
+    for method in METHODS:
+        planned = plan(method, fem.pattern, fem.spectral, SolverConfig(method, 0.1))
+        edited = dataclasses.replace(planned, levels=tuple(1 + k % 3 for k in range(planned.m)))
+        assert edited.size() == stats(_assemble(edited))
+        assert edited.size().depth == 2 + sum(s + 2 for s in edited.levels)
+
+
+def test_plan_makes_no_layer(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("plan made a layer")
+
+    for name in ("Layer", "ReluNetwork", "make_layer", "pipeline", "parallelize_shared",
+                 "affine_net", "sparse_matvec_net", "sparse_matvec_net_at"):
+        monkeypatch.setattr(solvers, name, refuse)
+    monkeypatch.setattr(solvers, "sp", None)
+    fem = gen_laplacian(1, 16)
+    for method in METHODS:
+        planned = plan(method, fem.pattern, fem.spectral, SolverConfig(method, 0.1))
+        assert planned.m == len(planned.levels) == len(planned.ends) > 1
+        assert plan(method, fem.pattern, SpectralClass(2.0, 2.0), SolverConfig(method, 0.1)).m == 0
 
 
 def test_audit_complexity_frozen_arithmetic():
