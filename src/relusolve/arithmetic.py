@@ -39,12 +39,13 @@ does a channel go subnormal and round; a term of weight w then moves by a
 small multiple of s |w| 2^-1074, far inside every certificate.
 
 A product net is a bank of T identical terms, one per product.  Each layer
-of a term is written once, as a small block, and the bank's layer tiles it
-with sp.kron(sp.identity(T), block), so term p owns the p-th diagonal block
-of rows and columns and no offset is computed by hand.  Two layers are not
-block diagonal: the first reads each term's two inputs through pick, whose
-rows 2p and 2p + 1 select term p's a and b from the net's input, and the
-summation layer kron(groups, term_sum) adds the terms of each output row.
+of a term is written once, as a small dense block, and the bank's layer
+tiles it with calculus.kron(sp.identity(T), block), so term p owns the p-th
+diagonal block of rows and columns and no offset is computed by hand.  Two
+layers are not block diagonal: the first reads each term's two inputs
+through pick, whose rows 2p and 2p + 1 select term p's a and b from the
+net's input, and the summation layer kron(groups, term_sum) adds the terms
+of each output row.
 The (+, -) pair maps are calculus.SPLIT and calculus.MERGE.
 
 A matrix class is its SparsityPattern, stored as nothing but the CSR
@@ -61,7 +62,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .calculus import MERGE, SPLIT
+from .calculus import MERGE, SPLIT, kron
 from .network import Layer, ReluNetwork
 
 __all__ = [
@@ -178,11 +179,6 @@ class SparseMatrix:
 _READOUT = np.array([[-2.0, 4.0, 1.0]])
 
 
-def _bank(num_terms: int, block):
-    """The layer of a bank of num_terms terms that each apply block."""
-    return sp.kron(sp.identity(num_terms), block, format="csr")
-
-
 def _saw_stage_layers(num_terms: int, s: int, chains: int):
     """Sawtooth stage layers shared by square_net and the product nets.
 
@@ -196,10 +192,10 @@ def _saw_stage_layers(num_terms: int, s: int, chains: int):
     """
     if s < 1:
         raise ValueError("refinement level must be at least 1")
-    chain = sp.identity(chains, format="csr")
-    first = _bank(num_terms, sp.kron([[0.25], [0.25], [1.0]], sp.kron(chain, [[1.0, 1.0]])))
+    chain, bank = np.eye(chains), sp.identity(num_terms)
+    first = kron(bank, np.kron([[0.25], [0.25], [1.0]], np.kron(chain, [[1.0, 1.0]])))
     # rows and columns of one chain's (n1, n2, c); the carry row is the readout
-    later = _bank(num_terms, sp.kron(np.vstack([[0.5, -1.0, 0.0], [0.5, -1.0, 0.0], _READOUT]), chain))
+    later = kron(bank, np.kron(np.vstack([[0.5, -1.0, 0.0], [0.5, -1.0, 0.0], _READOUT]), chain))
     return [
         Layer(first if t == 1 else later,
               np.tile(np.repeat([0.0, -0.5 * 4.0**-t, 0.0], chains), num_terms))
@@ -224,12 +220,12 @@ def _polarized_sum_net(n_in: int, a_cols, b_cols, coefs, weight: float, groups, 
     # per term (a, b) -> (u+, u-, v+, v-) with u = a+b, v = a-b
     ac, bc = coefs
     pair_abs = [[ac, bc], [-ac, -bc], [ac, -bc], [-ac, bc]]
-    layers = [Layer(_bank(num_terms, pair_abs) @ pick)]
+    layers = [Layer(kron(sp.identity(num_terms), pair_abs) @ pick)]
     layers.extend(_saw_stage_layers(num_terms, s, chains=2))
     # a term sums f_s(|u|) - f_s(|v|) over its (u, v) chain pairs: the
     # columns run n1u, n1v, n2u, n2v, cu, cv, so every +/- pair is adjacent
     # and cancels first
-    layers.append(Layer(sp.kron(groups, weight * sp.kron(_READOUT, MERGE))))
+    layers.append(Layer(kron(groups, weight * np.kron(_READOUT, MERGE))))
     return ReluNetwork(layers)
 
 

@@ -17,11 +17,17 @@ products accumulate in ascending column order, which makes the recombination
 bit-exact and lets downstream constructions cancel paired terms exactly.
 
 Every junction is the Kronecker product of a layer with one of two pair
-maps, SPLIT = [[1], [-1]] and MERGE = [[1, -1]]: kron(W, SPLIT) emits each
-row of W as a (+, -) pair (the bias as kron(b, [1, -1])), written straight
-from W's CSR arrays, kron(W, MERGE) reads each column of W from a pair,
-and kron(I_k, SPLIT) and kron(I_k, MERGE) carry and recombine k values.
+maps, SPLIT = [[1], [-1]] and MERGE = [[1, -1]]: kron(W, SPLIT) emits row i
+of W as rows 2i (+W_i) and 2i + 1 (-W_i), an adjacent pair (the bias as
+kron(b, [1, -1])), kron(W, MERGE) reads each column of W from a pair, and
+kron(I_k, SPLIT) and kron(I_k, MERGE) carry and recombine k values.
 Entries are single products with +-1, so every weight is copied exactly.
+
+kron is the one Kronecker tiling of the package: every junction here and
+every bank, input and summation layer of arithmetic's product nets goes
+through it.  Its right factor is a small dense block, so it writes the
+product as a BSR matrix on the left factor's own CSR arrays, one scaled
+copy of the block per stored entry, and converts that to CSR.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .network import Layer, ReluNetwork, make_layer
 __all__ = [
     "affine_net",
     "identity_net",
+    "kron",
     "parallelize",
     "parallelize_shared",
     "pipeline",
@@ -41,33 +48,31 @@ __all__ = [
 ]
 
 
-SPLIT = sp.csr_matrix([[1.0], [-1.0]])
-MERGE = sp.csr_matrix([[1.0, -1.0]])
+SPLIT = np.array([[1.0], [-1.0]])
+MERGE = np.array([[1.0, -1.0]])
+
+
+def kron(w, block) -> sp.csr_matrix:
+    """The Kronecker product of w, with no duplicate entries, and a small dense block.
+
+    Entry (i, j) of w becomes w_ij * block at block row i and block column
+    j, as in scipy.sparse.kron.  Stored zeros of the block stay stored;
+    Layer drops them.
+    """
+    w = sp.csr_matrix(w)
+    block = np.asarray(block, dtype=np.float64)
+    shape = (w.shape[0] * block.shape[0], w.shape[1] * block.shape[1])
+    return sp.bsr_matrix((w.data[:, None, None] * block, w.indices, w.indptr), shape=shape).tocsr()
 
 
 def _split_layer(layer: Layer) -> Layer:
-    """Duplicate a layer's rows as interleaved (+, -) pairs, from W's CSR arrays.
-
-    Row 2i holds +W_i and row 2i + 1 holds -W_i, so entry k of row i lands
-    at k + indptr[i] and, negated, count_i places later.
-    """
-    w = layer.weight
-    counts = np.diff(w.indptr)
-    row_of = np.repeat(np.arange(layer.rows), counts)
-    plus = np.arange(w.nnz) + w.indptr[row_of]
-    minus = plus + counts[row_of]
-    indices = np.empty(2 * w.nnz, dtype=w.indices.dtype)
-    data = np.empty(2 * w.nnz)
-    indices[plus] = indices[minus] = w.indices
-    data[plus], data[minus] = w.data, -w.data
-    indptr = np.concatenate([[0], np.cumsum(np.repeat(counts, 2))])
-    weight = sp.csr_matrix((data, indices, indptr), shape=(2 * layer.rows, layer.cols))
-    return Layer(weight, np.kron(layer.bias, [1.0, -1.0]))
+    """Duplicate a layer's rows as adjacent (+, -) pairs: row 2i is +W_i, row 2i + 1 is -W_i."""
+    return Layer(kron(layer.weight, SPLIT), np.kron(layer.bias, [1.0, -1.0]))
 
 
 def _merge_first(layer: Layer) -> Layer:
     """Rewrite a layer to read interleaved (+, -) pairs: column j -> (2j, 2j+1)."""
-    return Layer(sp.kron(layer.weight, MERGE), layer.bias)
+    return Layer(kron(layer.weight, MERGE), layer.bias)
 
 
 def _carry(layer: Layer, L: int) -> list:
@@ -184,8 +189,6 @@ def parallelize_shared(nets, col_maps, n_in: int) -> ReluNetwork:
 def parallelize(nets) -> ReluNetwork:
     """Stack networks with disjoint consecutive input blocks."""
     nets = list(nets)
-    if not nets:
-        raise ValueError("parallelize needs at least one network")
     maps = []
     offset = 0
     for net in nets:

@@ -77,11 +77,8 @@ def _resolve_problem(problem: str, n: int, seed: int, lam=None, lam_max=None):
         raise ValueError(
             f"--lam and --lam-max apply only to --problem random, not {problem!r}"
         )
-    if problem == "laplacian1d":
-        fem = gen_laplacian(1, n)
-        return fem.pattern, fem.matrix, fem.spectral, {"problem": problem, "N": n}
-    if problem == "laplacian2d":
-        fem = gen_laplacian(2, n)
+    if problem in ("laplacian1d", "laplacian2d"):
+        fem = gen_laplacian(1 if problem == "laplacian1d" else 2, n)
         return fem.pattern, fem.matrix, fem.spectral, {"problem": problem, "N": n}
     if problem == "random":
         spec = SpectralClass(1.0 if lam is None else lam, 100.0 if lam_max is None else lam_max)
@@ -321,7 +318,7 @@ def cmd_audit(args) -> int:
     for method in methods:
         for pattern, _, spec, _ in resolved:
             for eps in eps_list:
-                sized = plan(method, pattern, spec, SolverConfig(method, eps, args.c_sc))
+                sized = plan(pattern, spec, SolverConfig(method, eps, args.c_sc))
                 rec = audit_complexity(sized.size(), sized.m, eps, pattern.n, pattern.eta)
                 rows.append(
                     {

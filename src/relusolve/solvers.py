@@ -1,7 +1,7 @@
 """End-to-end ReLU solver networks for sparse SPD systems.
 
 A solver net is built in two parts, plan and then assemble.
-plan(method, pattern, spec, config) runs the checks and computes the net's
+plan(pattern, spec, config) runs the checks and computes the net's
 numbers without making a layer: the step count m, each step's saw level in
 the order the steps run, each step's end map as data, the matvec's scale,
 the numbers of the rescale and output layers, and the metadata; m == 0 is
@@ -417,13 +417,14 @@ class Plan:
         )
 
 
-def plan(method, pattern: SparsityPattern, spec: SpectralClass, config: SolverConfig) -> Plan:
+def plan(pattern: SparsityPattern, spec: SpectralClass, config: SolverConfig) -> Plan:
     """The checks and every number of the solver net, as the module docstring derives them.
+
+    The method is config.method.
 
     Makes no layer: Z, the error weights and the budget stay here.
     """
-    if config.method != method:
-        raise ValueError(f"config.method must be {method!r}")
+    method = config.method
     pattern.diagonal_positions()
     config.validate_against(spec)
     n, eta = pattern.n, pattern.eta
@@ -551,7 +552,9 @@ def _assemble(plan: Plan) -> ReluNetwork:
 
 def _build(method, pattern: SparsityPattern, spec: SpectralClass, config: SolverConfig):
     """The solver net both builders share: plan's numbers, then their layers."""
-    return _assemble(plan(method, pattern, spec, config))
+    if config.method != method:
+        raise ValueError(f"config.method must be {method!r}")
+    return _assemble(plan(pattern, spec, config))
 
 
 def build_richardson_net(

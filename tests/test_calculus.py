@@ -10,16 +10,18 @@ from hypothesis import strategies as st
 
 from conftest import random_affine, weights_of
 from relusolve.calculus import (
+    MERGE,
     SPLIT,
     _split_layer,
     affine_net,
     identity_net,
+    kron,
     parallelize,
     parallelize_shared,
     pipeline,
     scale_add_net,
 )
-from relusolve.arithmetic import mult_net, scalar_product_net, sparse_matvec_net, square_net
+from relusolve.arithmetic import _READOUT, mult_net, scalar_product_net, sparse_matvec_net, square_net
 from relusolve.network import Layer, ReluNetwork, evaluate, network_to_dict, stats
 from relusolve.problems import gen_laplacian
 
@@ -189,18 +191,37 @@ def test_parallelize_pads_a_member_for_its_last_layer_plus_two_k_per_layer():
 
 
 def test_split_layer_is_the_kronecker_product_with_split_byte_for_byte():
-    # written from the CSR arrays, the split equals kron(W, SPLIT) with
-    # kron(b, [1, -1]) in every array and dtype, empty rows included
+    # the split equals kron(W, SPLIT) with kron(b, [1, -1]), and kron equals
+    # sp.kron on the pair maps and arithmetic's blocks, in every array and
+    # dtype, empty rows, zeros and negative entries included
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        rows, cols = (int(k) for k in rng.integers(1, 12, size=2))
-        weight = sp.random(rows, cols, density=rng.uniform(0.0, 1.0), random_state=rng, format="csr")
-        layer = Layer(weight, rng.normal(size=rows) * (rng.uniform(size=rows) < 0.5))
-        got, want = _split_layer(layer), Layer(sp.kron(weight, SPLIT), np.kron(layer.bias, [1.0, -1.0]))
+    chains = np.eye(2)
+    blocks = [
+        SPLIT,
+        MERGE,
+        np.kron([[0.25], [0.25], [1.0]], np.kron(chains, [[1.0, 1.0]])),
+        np.kron(np.vstack([[0.5, -1.0, 0.0], [0.5, -1.0, 0.0], _READOUT]), chains),
+        -2.5 * np.kron(_READOUT, MERGE),
+    ]
+
+    def assert_same(got, want):
         assert got.weight.shape == want.weight.shape
         for a, b in zip((got.weight.indptr, got.weight.indices, got.weight.data, got.bias),
                         (want.weight.indptr, want.weight.indices, want.weight.data, want.bias)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    for _ in range(50):
+        rows, cols = (int(k) for k in rng.integers(1, 12, size=2))
+        weight = sp.random(rows, cols, density=rng.uniform(0.0, 1.0), random_state=rng, format="csr")
+        layer = Layer(weight, rng.normal(size=rows) * (rng.uniform(size=rows) < 0.5))
+        assert_same(_split_layer(layer), Layer(sp.kron(weight, SPLIT), np.kron(layer.bias, [1.0, -1.0])))
+        # signed entries and whole rows left empty
+        signed = sp.csr_matrix(
+            (rng.normal(size=(rows, cols)) * (rng.uniform(size=(rows, cols)) < 0.4))
+            * (rng.uniform(size=(rows, 1)) < 0.6)
+        )
+        for block in blocks:
+            assert_same(Layer(kron(signed, block)), Layer(sp.kron(signed, block)))
 
 
 def test_parallelize_shared_refuses_a_map_that_reorders_a_row():
@@ -241,6 +262,8 @@ def test_parallelize_shared_reads_overlapping_columns():
 def test_parallelize_shared_argument_validation():
     with pytest.raises(ValueError, match="at least one network"):
         parallelize_shared([], [], 1)
+    with pytest.raises(ValueError, match="at least one network"):
+        parallelize([])
     with pytest.raises(ValueError, match="one column map per network"):
         parallelize_shared([identity_net(1, 2)], [], 1)
     with pytest.raises(ValueError, match="length must match"):

@@ -488,6 +488,29 @@ def test_audit_rejects_empty_lists(capsys, flag, name, value):
     assert f"need at least one {name}" in err
 
 
+def test_audit_rejects_a_list_entry_of_the_wrong_kind(capsys):
+    rc, out, err = run_cli(capsys, "audit", "--n", "8,x", "--eps", "0.5", "--method", "cg")
+    assert rc == 2 and out == ""
+    assert "expected a comma-separated integer list, got '8,x'" in err
+
+
+def test_laplacian2d_problem_builds_verifies_and_audits(capsys, tmp_path):
+    path = tmp_path / "lap2d.npz"
+    rc, out, err = run_cli(capsys, "build", "--method", "cg", "--problem", "laplacian2d", "--n", "3",
+                           "--eps", "0.1", "--out", str(path))
+    assert rc == 0, err
+    assert json.loads(out)["results"]["metadata"]["n"] == 9
+    rc, out, err = run_cli(capsys, "verify", "--net", str(path), "--problem", "laplacian2d", "--n", "3")
+    assert rc == 0, err
+    results = json.loads(out)["results"]
+    assert results["passed"] and results["max_error"] <= 0.1
+    rc, out, err = run_cli(capsys, "audit", "--problem", "laplacian2d", "--n", "3,4", "--eps", "0.1",
+                           "--method", "cg", "--format", "json")
+    assert rc == 0, err
+    rows = json.loads(out)["results"]["rows"]
+    assert [(row["n"], row["eta"]) for row in rows] == [(9, 33), (16, 64)]
+
+
 def test_audit_json_report(capsys):
     rc, out, err = run_cli(
         capsys, "audit", "--n", "8", "--eps", "0.5", "--method", "cg", "--format", "json"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oracles import (
     chebyshev_eval, chebyshev_t_exact, divided_cheb_coeffs, richardson_iterate, u_series_eval
@@ -26,6 +27,29 @@ def test_solve_exact_zero_rhs_and_residual_guarantee():
     r = rng.normal(size=12)
     x = solve_exact(fem.matrix.to_csr(), r)
     assert np.linalg.norm(r - A @ x) <= 1e-10 * np.linalg.norm(r)
+
+
+def _conditioned_spd(seed, n, kappa):
+    """A seeded SPD matrix with spectrum geomspace(1, kappa, n), and a rhs."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    A = (q * np.geomspace(1.0, kappa, n)) @ q.T
+    return (A + A.T) / 2.0, rng.normal(size=n)
+
+
+def test_solve_exact_refines_once_and_refuses_what_one_step_leaves():
+    # found by measurement: the first Cholesky solve of this system misses
+    # the 1e-10 ||r|| residual check about 4.7-fold, one refinement step
+    # lands at about half of it
+    A, r = _conditioned_spd(324, 6, 1e8)
+    tol = 1e-10 * np.linalg.norm(r)
+    first = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), r)
+    assert np.linalg.norm(r - A @ first) > tol
+    assert np.linalg.norm(r - A @ solve_exact(A, r)) <= tol
+    # the order-12 Hilbert matrix factors, but its refined residual stays
+    # about 60-fold above the check
+    with pytest.raises(ValueError, match="failed the residual check"):
+        solve_exact(scipy.linalg.hilbert(12), np.ones(12))
 
 
 def test_solve_exact_rejects_indefinite_matrix():

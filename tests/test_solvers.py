@@ -748,7 +748,7 @@ SIZE_CASES = (
 def test_plan_size_is_the_stats_of_the_net_it_assembles(kind, N, eps, method, c_sc):
     pattern, spec = _size_problem(kind, N)
     limit = (1.0 + spec.kappa) / 2.0 if method == "richardson" else spec.kappa
-    planned = plan(method, pattern, spec, SolverConfig(method, eps, 1.0 if c_sc == "1" else limit))
+    planned = plan(pattern, spec, SolverConfig(method, eps, 1.0 if c_sc == "1" else limit))
     assert planned.size() == stats(_assemble(planned))
 
 
@@ -756,7 +756,7 @@ def test_plan_size_follows_edited_levels():
     # a plan with other levels assembles to the net its size() counts
     fem = gen_laplacian(1, 8)
     for method in METHODS:
-        planned = plan(method, fem.pattern, fem.spectral, SolverConfig(method, 0.1))
+        planned = plan(fem.pattern, fem.spectral, SolverConfig(method, 0.1))
         edited = dataclasses.replace(planned, levels=tuple(1 + k % 3 for k in range(planned.m)))
         assert edited.size() == stats(_assemble(edited))
         assert edited.size().depth == 2 + sum(s + 2 for s in edited.levels)
@@ -772,9 +772,9 @@ def test_plan_makes_no_layer(monkeypatch):
     monkeypatch.setattr(solvers, "sp", None)
     fem = gen_laplacian(1, 16)
     for method in METHODS:
-        planned = plan(method, fem.pattern, fem.spectral, SolverConfig(method, 0.1))
+        planned = plan(fem.pattern, fem.spectral, SolverConfig(method, 0.1))
         assert planned.m == len(planned.levels) == len(planned.ends) > 1
-        assert plan(method, fem.pattern, SpectralClass(2.0, 2.0), SolverConfig(method, 0.1)).m == 0
+        assert plan(fem.pattern, SpectralClass(2.0, 2.0), SolverConfig(method, 0.1)).m == 0
 
 
 def test_audit_complexity_frozen_arithmetic():
